@@ -5,16 +5,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "index/IndexService.h"
-#include "util/SimdDot.h"
 #include "util/ThreadPool.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
 #include <filesystem>
-#include <functional>
 #include <sstream>
-#include <thread>
 
 using namespace kast;
 
@@ -23,17 +18,6 @@ using namespace kast;
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-/// One scored candidate inside a shard. Pos is the flattened insertion
-/// position across the shard's segments — the deterministic tie-break
-/// within a shard (older entries win ties, mirroring ProfileIndex's
-/// smaller-index rule).
-struct ShardHit {
-  double Sim = 0.0;
-  size_t Pos = 0;
-  size_t Seg = 0;
-  size_t Off = 0;
-};
 
 /// Visits (segment, offset) of every live entry across parallel
 /// segment/tombstone lists — the one definition of "live" shared by
@@ -53,190 +37,34 @@ void forEachLiveEntry(
   }
 }
 
-/// Scores every live entry of \p Shard against the flattened \p Query
-/// into \p Scratch (caller-owned so batches reuse the allocation) and
-/// leaves the shard's top-K, best first, in \p TopK. Callers flatten
-/// each query once (IndexSnapshot::query / queryBatch) so every
-/// shard's scan streams the dense arrays through the vectorized dot.
-void scoreShard(const detail::IndexShard &Shard, const FlatProfile &Query,
-                size_t K, bool Normalize, double QNorm,
-                simd::ExactScan &Scan, std::vector<ShardHit> &Scratch,
-                std::vector<ShardHit> &TopK) {
-  TopK.clear();
-  if (K == 0 || Shard.LiveCount == 0)
-    return;
-  Scan.assign(Query.Hashes.data(), Query.Values.data(), Query.size());
-  Scratch.clear();
-  size_t Pos = 0;
-  for (size_t S = 0; S < Shard.Segments.size(); ++S) {
-    const detail::IndexSegment &Seg = *Shard.Segments[S];
-    const std::vector<uint8_t> *Tombs = Shard.Tombstones[S].get();
-    for (size_t I = 0; I < Seg.size(); ++I, ++Pos) {
-      if (Tombs && (*Tombs)[I])
-        continue;
-      const ProfileView V = Seg.Store.view(I);
-      double Sim = Scan.dot(V.Hashes, V.Values, V.Size);
-      if (Normalize) {
-        double Denominator = QNorm * V.Norm;
-        Sim = Denominator > 0.0 ? Sim / Denominator : 0.0;
-      }
-      Scratch.push_back({Sim, Pos, S, I});
-    }
-  }
-  const size_t Take = std::min(K, Scratch.size());
-  std::partial_sort(Scratch.begin(), Scratch.begin() + Take, Scratch.end(),
-                    [](const ShardHit &L, const ShardHit &R) {
-                      if (L.Sim != R.Sim)
-                        return L.Sim > R.Sim;
-                      return L.Pos < R.Pos;
-                    });
-  TopK.assign(Scratch.begin(), Scratch.begin() + Take);
-}
-
-/// scoreShard through the shard's candidate-generation tier. The
-/// routed first segment contributes only posting-list candidates
-/// (exact re-ranked, so a survivor's similarity is bit-identical to
-/// the exact scan's); every later segment — sealed after the fit, or
-/// the staging tail — is scanned exactly. When fewer than K hits
-/// score above zero, live unmarked entries of the routed segment pad
-/// the tail at similarity exactly +0.0 in position order, which is
-/// what the exact scan computes for a profile sharing no feature with
-/// the query — the bit-identity argument of ProfileIndex's
-/// approxQueryInto, with Pos as the tie-break. Shards without
-/// applicable routing (never routed, or compacted since) fall back to
-/// scoreShard.
-void scoreShardApprox(const detail::IndexShard &Shard,
-                      const FlatProfile &Query, size_t K, bool Normalize,
-                      double QNorm, size_t NProbe, InvertedScratch &IS,
-                      simd::ExactScan &Scan, std::vector<ShardHit> &Scratch,
-                      std::vector<ShardHit> &TopK) {
-  const bool Routed = Shard.Routing && !Shard.Segments.empty() &&
-                      Shard.Segments[0] == Shard.RoutedSegment;
-  if (!Routed) {
-    scoreShard(Shard, Query, K, Normalize, QNorm, Scan, Scratch, TopK);
-    return;
-  }
-  TopK.clear();
-  if (K == 0 || Shard.LiveCount == 0)
-    return;
-  const detail::IndexRouting &R = *Shard.Routing;
-  const detail::IndexSegment &Seg0 = *Shard.Segments[0];
-  const std::vector<uint8_t> *Tombs0 = Shard.Tombstones[0].get();
-  const size_t Covered = R.covered();
-  assert(Covered == Seg0.size() && "routing must cover the first segment");
-
-  const size_t Probe = NProbe != 0 ? NProbe : R.Options.DefaultNProbe;
-  R.Router.route(Query, Probe, IS.RouteScored, IS.Probes);
-  IS.begin(Covered);
-  R.Inverted.collectCandidates(Query, IS.Probes, IS);
-  // Shortlist selection mirrors ProfileIndex's approxQueryInto: the
-  // quantized dot over the full candidate profile when the sidecar
-  // exists, the accumulated partial score otherwise. Tombstoned
-  // candidates are filtered below either way, so scoring them here
-  // only costs a few wasted int8 dots.
-  const size_t Budget = R.Options.RerankBudget;
-  if (Budget > 0 && IS.Candidates.size() > Budget) {
-    if (const QuantizedStore *Quant = R.Quant.get()) {
-      for (uint32_t Id : IS.Candidates) {
-        const ProfileView V = Seg0.Store.view(Id);
-        const QuantizedStore::View QV = Quant->view(Id);
-        double Sim =
-            simd::dotQuantized(Query.Hashes.data(), Query.Values.data(),
-                               Query.size(), V.Hashes, QV.Values, QV.Size,
-                               QV.Scale);
-        if (Normalize)
-          Sim = V.Norm > 0.0 ? Sim / V.Norm : 0.0;
-        IS.Acc[Id] = Sim;
-      }
-    }
-    std::partial_sort(IS.Candidates.begin(), IS.Candidates.begin() + Budget,
-                      IS.Candidates.end(), [&](uint32_t L, uint32_t R2) {
-                        if (IS.Acc[L] != IS.Acc[R2])
-                          return IS.Acc[L] > IS.Acc[R2];
-                        return L < R2;
-                      });
-    IS.Candidates.resize(Budget);
-  }
-
-  Scan.assign(Query.Hashes.data(), Query.Values.data(), Query.size());
-  const auto Score = [&](const ProfileView &V) {
-    double Sim = Scan.dot(V.Hashes, V.Values, V.Size);
-    if (Normalize) {
-      double Denominator = QNorm * V.Norm;
-      Sim = Denominator > 0.0 ? Sim / Denominator : 0.0;
-    }
-    return Sim;
-  };
-  Scratch.clear();
-  for (uint32_t Id : IS.Candidates) {
-    if (Tombs0 && (*Tombs0)[Id])
-      continue;
-    Scratch.push_back({Score(Seg0.Store.view(Id)), Id, 0, Id});
-  }
-  size_t Pos = Seg0.size();
-  for (size_t S = 1; S < Shard.Segments.size(); ++S) {
-    const detail::IndexSegment &Seg = *Shard.Segments[S];
-    const std::vector<uint8_t> *Tombs = Shard.Tombstones[S].get();
-    for (size_t I = 0; I < Seg.size(); ++I, ++Pos) {
-      if (Tombs && (*Tombs)[I])
-        continue;
-      Scratch.push_back({Score(Seg.Store.view(I)), Pos, S, I});
-    }
-  }
-  const size_t Take = std::min(K, Scratch.size());
-  std::partial_sort(Scratch.begin(), Scratch.begin() + Take, Scratch.end(),
-                    [](const ShardHit &L, const ShardHit &R2) {
-                      if (L.Sim != R2.Sim)
-                        return L.Sim > R2.Sim;
-                      return L.Pos < R2.Pos;
-                    });
-  if (Take == K && Scratch[K - 1].Sim > 0.0) {
-    TopK.assign(Scratch.begin(), Scratch.begin() + Take);
-    return;
-  }
-
-  // Merge the ranked survivors with the zero stream: live, unmarked
-  // entries of the routed segment, ascending position, exactly +0.0.
-  size_t Zero = 0;
-  const auto AdvanceZero = [&] {
-    while (Zero < Covered &&
-           (IS.marked(Zero) || (Tombs0 && (*Tombs0)[Zero])))
-      ++Zero;
-  };
-  AdvanceZero();
-  size_t Next = 0;
-  while (TopK.size() < K) {
-    const bool HaveScored = Next < Take;
-    const bool HaveZero = Zero < Covered;
-    if (!HaveScored && !HaveZero)
-      break;
-    bool TakeScored;
-    if (!HaveZero) {
-      TakeScored = true;
-    } else if (!HaveScored) {
-      TakeScored = false;
-    } else {
-      const ShardHit &H = Scratch[Next];
-      TakeScored = H.Sim > 0.0 || (H.Sim == 0.0 && H.Pos < Zero);
-    }
-    if (TakeScored) {
-      TopK.push_back(Scratch[Next++]);
-    } else {
-      TopK.push_back({0.0, Zero, 0, Zero});
-      ++Zero;
-      AdvanceZero();
-    }
-  }
+/// Copies the \p Live entries \p ForEachLive visits into one fresh
+/// arena plus name/label columns, reserving both once.
+template <typename ForEachFn>
+void copyLive(ForEachFn ForEachLive, size_t Live, ProfileStore &Store,
+              StringColumn &Names, StringColumn &Labels) {
+  size_t Entries = 0;
+  ForEachLive([&](const detail::IndexSegment &Seg, size_t I) {
+    Entries += Seg.Store.view(I).Size;
+  });
+  Store.reserve(Live, Entries);
+  Names.reserve(Live);
+  Labels.reserve(Live);
+  ForEachLive([&](const detail::IndexSegment &Seg, size_t I) {
+    Store.appendFrom(Seg.Store, I);
+    Names.push_back(Seg.Names[I]);
+    Labels.push_back(Seg.Labels[I]);
+  });
 }
 
 /// K-way merge of per-shard top-k lists into the global top-K. Lists
 /// are short (at most K each), so a linear scan over the S heads per
 /// emitted hit beats heap bookkeeping; ties break toward the lower
 /// shard index, then the earlier position (strictly-greater test keeps
-/// the incumbent).
+/// the incumbent). Only the K winners' positions are mapped back to
+/// (segment, offset).
 std::vector<ServiceHit>
 mergeTopK(const std::vector<std::shared_ptr<const detail::IndexShard>> &Shards,
-          const std::vector<std::vector<ShardHit>> &PerShard, size_t K) {
+          const std::vector<std::vector<Neighbor>> &PerShard, size_t K) {
   std::vector<size_t> Heads(PerShard.size(), 0);
   std::vector<ServiceHit> Out;
   while (Out.size() < K) {
@@ -245,19 +73,69 @@ mergeTopK(const std::vector<std::shared_ptr<const detail::IndexShard>> &Shards,
       if (Heads[S] >= PerShard[S].size())
         continue;
       if (Best == PerShard.size() ||
-          PerShard[S][Heads[S]].Sim > PerShard[Best][Heads[Best]].Sim)
+          PerShard[S][Heads[S]].Similarity >
+              PerShard[Best][Heads[Best]].Similarity)
         Best = S;
     }
     if (Best == PerShard.size())
       break;
-    const ShardHit &H = PerShard[Best][Heads[Best]++];
-    const detail::IndexSegment &Seg = *Shards[Best]->Segments[H.Seg];
+    const Neighbor &H = PerShard[Best][Heads[Best]++];
+    const detail::IndexShard &Shard = *Shards[Best];
+    const auto [Seg, Off] = Shard.Scorer.locate(H.Index);
     // Hit materialization is where a mapped segment's lazy name/label
     // columns are finally decoded — only the K winners pay it.
-    Out.push_back({std::string(Seg.Names[H.Off]),
-                   std::string(Seg.Labels[H.Off]), H.Sim});
+    Out.push_back({std::string(Shard.Segments[Seg]->Names[Off]),
+                   std::string(Shard.Segments[Seg]->Labels[Off]),
+                   H.Similarity});
   }
   return Out;
+}
+
+/// The shards' scorers, in shard order.
+std::vector<const detail::SegmentScorer *> scorersOf(
+    const std::vector<std::shared_ptr<const detail::IndexShard>> &Shards) {
+  std::vector<const detail::SegmentScorer *> Scorers;
+  Scorers.reserve(Shards.size());
+  for (const std::shared_ptr<const detail::IndexShard> &S : Shards)
+    Scorers.push_back(&S->Scorer);
+  return Scorers;
+}
+
+/// One query fanned out across the shards, then merged.
+std::vector<ServiceHit>
+queryShards(const std::vector<std::shared_ptr<const detail::IndexShard>> &Shards,
+            const KernelProfile &Query, const detail::ScoreRequest &Request,
+            size_t Threads) {
+  std::vector<std::vector<Neighbor>> PerShard;
+  detail::scoreQuery(scorersOf(Shards), Query, Request, Threads, PerShard);
+  return mergeTopK(Shards, PerShard, Request.K);
+}
+
+/// A batch of borrowed queries strided across workers; each query is
+/// scored on every shard and merged on its worker.
+std::vector<std::vector<ServiceHit>>
+queryShardsBatch(
+    const std::vector<std::shared_ptr<const detail::IndexShard>> &Shards,
+    const std::vector<const KernelProfile *> &Queries,
+    const detail::ScoreRequest &Request, size_t Threads) {
+  std::vector<std::vector<ServiceHit>> Results(Queries.size());
+  detail::scoreBatch(
+      scorersOf(Shards), Queries.size(),
+      [&](size_t I) -> const KernelProfile & { return *Queries[I]; }, Request,
+      Threads,
+      [&](size_t I, const std::vector<std::vector<Neighbor>> &PerShard) {
+        Results[I] = mergeTopK(Shards, PerShard, Request.K);
+      });
+  return Results;
+}
+
+/// Borrows every profile of \p Queries.
+std::vector<const KernelProfile *>
+borrow(const std::vector<KernelProfile> &Queries) {
+  std::vector<const KernelProfile *> Borrowed(Queries.size());
+  for (size_t I = 0; I < Queries.size(); ++I)
+    Borrowed[I] = &Queries[I];
+  return Borrowed;
 }
 
 } // namespace
@@ -279,141 +157,45 @@ size_t IndexSnapshot::entryCount() const {
 std::vector<ServiceHit> IndexSnapshot::query(const KernelProfile &Query,
                                              size_t K, bool Normalize,
                                              size_t Threads) const {
-  if (K == 0 || Shards.empty())
-    return {};
-  // Flattened once; the per-shard workers share it read-only.
-  const FlatProfile Flat(Query);
-  const double QNorm = Normalize ? Flat.Norm : 1.0;
-  std::vector<std::vector<ShardHit>> PerShard(Shards.size());
-  parallelFor(
-      Shards.size(),
-      [&](size_t S) {
-        simd::ExactScan Scan;
-        std::vector<ShardHit> Scratch;
-        scoreShard(*Shards[S], Flat, K, Normalize, QNorm, Scan, Scratch,
-                   PerShard[S]);
-      },
-      Threads);
-  return mergeTopK(Shards, PerShard, K);
+  return queryShards(Shards, Query, {K, Normalize, false, 0}, Threads);
 }
 
 std::vector<std::vector<ServiceHit>>
 IndexSnapshot::queryBatch(const std::vector<KernelProfile> &Queries, size_t K,
                           bool Normalize, size_t Threads) const {
-  std::vector<const KernelProfile *> Borrowed(Queries.size());
-  for (size_t I = 0; I < Queries.size(); ++I)
-    Borrowed[I] = &Queries[I];
-  return queryBatch(Borrowed, K, Normalize, Threads);
+  return queryBatch(borrow(Queries), K, Normalize, Threads);
 }
 
 std::vector<std::vector<ServiceHit>>
 IndexSnapshot::queryBatch(const std::vector<const KernelProfile *> &Queries,
                           size_t K, bool Normalize, size_t Threads) const {
-  std::vector<std::vector<ServiceHit>> Results(Queries.size());
-  if (Shards.empty())
-    return Results;
-  // Same striding scheme as ProfileIndex::queryBatch: each chunk owns
-  // one scoring scratch and one set of per-shard top-k lists, reused
-  // for every query the chunk scores.
-  const size_t Workers =
-      Threads != 0 ? Threads
-                   : std::max<size_t>(1, std::thread::hardware_concurrency());
-  const size_t Chunks = std::min(Queries.size(), Workers);
-  parallelFor(
-      Chunks,
-      [&](size_t Chunk) {
-        FlatProfile Flat;
-        simd::ExactScan Scan;
-        std::vector<ShardHit> Scratch;
-        std::vector<std::vector<ShardHit>> PerShard(Shards.size());
-        for (size_t I = Chunk; I < Queries.size(); I += Chunks) {
-          Flat.assign(*Queries[I]);
-          const double QNorm = Normalize ? Flat.Norm : 1.0;
-          for (size_t S = 0; S < Shards.size(); ++S)
-            scoreShard(*Shards[S], Flat, K, Normalize, QNorm, Scan, Scratch,
-                       PerShard[S]);
-          Results[I] = mergeTopK(Shards, PerShard, K);
-        }
-      },
-      Threads);
-  return Results;
+  return queryShardsBatch(Shards, Queries, {K, Normalize, false, 0}, Threads);
 }
 
 std::vector<std::vector<ServiceHit>> IndexSnapshot::queryBatchApprox(
     const std::vector<KernelProfile> &Queries, size_t K, bool Normalize,
     size_t NProbe, size_t Threads) const {
-  std::vector<const KernelProfile *> Borrowed(Queries.size());
-  for (size_t I = 0; I < Queries.size(); ++I)
-    Borrowed[I] = &Queries[I];
-  return queryBatchApprox(Borrowed, K, Normalize, NProbe, Threads);
+  return queryBatchApprox(borrow(Queries), K, Normalize, NProbe, Threads);
 }
 
 std::vector<std::vector<ServiceHit>> IndexSnapshot::queryBatchApprox(
     const std::vector<const KernelProfile *> &Queries, size_t K,
     bool Normalize, size_t NProbe, size_t Threads) const {
-  std::vector<std::vector<ServiceHit>> Results(Queries.size());
-  if (Shards.empty())
-    return Results;
-  const size_t Workers =
-      Threads != 0 ? Threads
-                   : std::max<size_t>(1, std::thread::hardware_concurrency());
-  const size_t Chunks = std::min(Queries.size(), Workers);
-  parallelFor(
-      Chunks,
-      [&](size_t Chunk) {
-        FlatProfile Flat;
-        simd::ExactScan Scan;
-        std::vector<ShardHit> Scratch;
-        std::vector<std::vector<ShardHit>> PerShard(Shards.size());
-        // One InvertedScratch per shard, kept across the whole chunk:
-        // InvertedScratch::begin() only reallocates when the covered
-        // size changes, and a shard's routed segment size is fixed
-        // within a snapshot, so queries after the first pay an epoch
-        // bump instead of allocating and zeroing ~N doubles per shard.
-        // This amortization is what makes batched admission beat
-        // call-per-query serving.
-        std::vector<InvertedScratch> IS(Shards.size());
-        for (size_t I = Chunk; I < Queries.size(); I += Chunks) {
-          Flat.assign(*Queries[I]);
-          const double QNorm = Normalize ? Flat.Norm : 1.0;
-          for (size_t S = 0; S < Shards.size(); ++S)
-            scoreShardApprox(*Shards[S], Flat, K, Normalize, QNorm, NProbe,
-                             IS[S], Scan, Scratch, PerShard[S]);
-          Results[I] = mergeTopK(Shards, PerShard, K);
-        }
-      },
-      Threads);
-  return Results;
+  return queryShardsBatch(Shards, Queries, {K, Normalize, true, NProbe},
+                          Threads);
 }
 
 std::vector<ServiceHit> IndexSnapshot::queryApprox(const KernelProfile &Query,
                                                    size_t K, bool Normalize,
                                                    size_t NProbe,
                                                    size_t Threads) const {
-  if (K == 0 || Shards.empty())
-    return {};
-  const FlatProfile Flat(Query);
-  const double QNorm = Normalize ? Flat.Norm : 1.0;
-  std::vector<std::vector<ShardHit>> PerShard(Shards.size());
-  parallelFor(
-      Shards.size(),
-      [&](size_t S) {
-        InvertedScratch IS;
-        simd::ExactScan Scan;
-        std::vector<ShardHit> Scratch;
-        scoreShardApprox(*Shards[S], Flat, K, Normalize, QNorm, NProbe, IS,
-                         Scan, Scratch, PerShard[S]);
-      },
-      Threads);
-  return mergeTopK(Shards, PerShard, K);
+  return queryShards(Shards, Query, {K, Normalize, true, NProbe}, Threads);
 }
 
 size_t IndexSnapshot::routedShardCount() const {
   size_t Count = 0;
   for (const std::shared_ptr<const detail::IndexShard> &S : Shards)
-    if (S->Routing && !S->Segments.empty() &&
-        S->Segments[0] == S->RoutedSegment)
-      ++Count;
+    Count += S->Scorer.routing() != nullptr;
   return Count;
 }
 
@@ -435,10 +217,6 @@ IndexService::IndexService(std::string KernelName, IndexServiceOptions Opts)
     Shards.push_back(std::make_unique<ShardState>());
     Shards.back()->Published.store(std::make_shared<const detail::IndexShard>());
   }
-}
-
-size_t IndexService::shardOf(const std::string &Name) const {
-  return std::hash<std::string>{}(Name) % Shards.size();
 }
 
 size_t IndexService::shardOf(std::string_view Name) const {
@@ -480,9 +258,15 @@ void IndexService::publishLocked(ShardState &Shard, size_t SealThreshold) {
   Published->EntryCount = W.EntryCount;
   Published->LiveCount = W.LiveCount;
   // Routing rides copy-on-write: publishes share the fitted
-  // structures; readers decide applicability by segment identity.
-  Published->Routing = W.Routing;
-  Published->RoutedSegment = W.RoutedSegment;
+  // structures, and the scorer decides applicability.
+  std::vector<detail::ScoredSegment> Scored;
+  Scored.reserve(Published->Segments.size());
+  for (size_t S = 0; S < Published->Segments.size(); ++S)
+    Scored.push_back({&Published->Segments[S]->Store,
+                      Published->Tombstones[S].get(), 0});
+  Published->Scorer = detail::SegmentScorer(
+      std::move(Scored), W.Routing,
+      W.RoutedSegment ? &W.RoutedSegment->Store : nullptr);
   Shard.Published.store(
       std::shared_ptr<const detail::IndexShard>(std::move(Published)));
 }
@@ -576,19 +360,9 @@ void IndexService::compactShardLocked(ShardWriter &W) {
       if (!W.StagingTombs[I])
         Fn(W.Staging, I);
   };
-  size_t LiveEntries = 0;
-  forEachLive([&](const detail::IndexSegment &Seg, size_t I) {
-    LiveEntries += Seg.Store.view(I).Size;
-  });
   detail::IndexSegment Merged;
-  Merged.Store.reserve(W.LiveCount, LiveEntries);
-  Merged.Names.reserve(W.LiveCount);
-  Merged.Labels.reserve(W.LiveCount);
-  forEachLive([&](const detail::IndexSegment &Seg, size_t I) {
-    Merged.Store.appendFrom(Seg.Store, I);
-    Merged.Names.push_back(Seg.Names[I]);
-    Merged.Labels.push_back(Seg.Labels[I]);
-  });
+  copyLive(forEachLive, W.LiveCount, Merged.Store, Merged.Names,
+           Merged.Labels);
   W.Sealed.clear();
   W.SealedTombs.clear();
   W.EntryCount = W.LiveCount = Merged.size();
@@ -627,20 +401,8 @@ void IndexService::rebuildRouting(const RoutingOptions &RoutingOpts,
     ShardWriter &W = Shard.Writer;
     compactShardLocked(W);
     if (!W.Sealed.empty()) {
-      auto R = std::make_shared<detail::IndexRouting>();
-      R->Options = RoutingOpts;
-      const ProfileStore &Store = W.Sealed[0]->Store;
-      R->Router = ClusterRouter::build(Store, RoutingOpts.Cluster, Threads);
-      R->Inverted =
-          InvertedIndex::build(Store, R->Router.assignments(),
-                               R->Router.numCentroids(),
-                               RoutingOpts.MaxDocFrequency);
-      // Segment stores are shared-const, so the sidecar is built
-      // standalone and owned by the routing structure.
-      if (RoutingOpts.RerankBudget > 0 && RoutingOpts.QuantizedShortlist)
-        R->Quant =
-            std::make_shared<const QuantizedStore>(QuantizedStore::build(Store));
-      W.Routing = std::move(R);
+      W.Routing =
+          detail::IndexRouting::fit(W.Sealed[0]->Store, RoutingOpts, Threads);
       W.RoutedSegment = W.Sealed[0];
     }
     publishLocked(Shard, Options.SealThreshold);
@@ -665,12 +427,8 @@ Status IndexService::saveShardRouting(const std::string &Dir) const {
   for (size_t S = 0; S < Snap.Shards.size(); ++S) {
     const detail::IndexShard &Shard = *Snap.Shards[S];
     const std::string Path = shardRoutePath(Dir, S);
-    const bool Routed = Shard.Routing && !Shard.Segments.empty() &&
-                        Shard.Segments[0] == Shard.RoutedSegment;
-    if (Routed) {
-      if (Status W = writeRoutingFile(Shard.Routing->Router,
-                                      Shard.Routing->Options, Path);
-          !W.ok())
+    if (const auto &R = Shard.Scorer.routing()) {
+      if (Status W = writeRoutingFile(R->Router, R->Options, Path); !W.ok())
         return W;
       continue;
     }
@@ -714,17 +472,8 @@ Status IndexService::loadShardRouting(const std::string &Dir) {
       return Status::error("routing sidecar '" + Path +
                            "' does not match shard " + std::to_string(S) +
                            "'s first segment");
-    auto R = std::make_shared<detail::IndexRouting>();
-    R->Options = Loaded.Options;
-    R->Router = std::move(Loaded.Router);
-    R->Inverted = InvertedIndex::build(W.Sealed[0]->Store,
-                                       R->Router.assignments(),
-                                       R->Router.numCentroids(),
-                                       R->Options.MaxDocFrequency);
-    if (R->Options.RerankBudget > 0 && R->Options.QuantizedShortlist)
-      R->Quant = std::make_shared<const QuantizedStore>(
-          QuantizedStore::build(W.Sealed[0]->Store));
-    W.Routing = std::move(R);
+    W.Routing =
+        detail::IndexRouting::restore(std::move(Loaded), W.Sealed[0]->Store);
     W.RoutedSegment = W.Sealed[0];
     publishLocked(Shard, Options.SealThreshold);
   }
@@ -804,28 +553,7 @@ IndexService::fromShardCaches(std::vector<ProfileStoreCache> Caches,
         return Result::error("shard cache " + std::to_string(S) +
                              "'s embedded routing does not match its "
                              "profile count");
-      auto R = std::make_shared<detail::IndexRouting>();
-      R->Options.MaxDocFrequency = A->MaxDocFrequency;
-      R->Options.RerankBudget = A->RerankBudget;
-      R->Options.DefaultNProbe = A->DefaultNProbe;
-      R->Options.QuantizedShortlist = A->QuantizedShortlist;
-      R->Options.Cluster.NumCentroids = A->ClusterNumCentroids;
-      R->Options.Cluster.MaxIterations = A->ClusterMaxIterations;
-      R->Options.Cluster.TrainingSample = A->ClusterTrainingSample;
-      R->Options.Cluster.Seed = A->ClusterSeed;
-      std::shared_ptr<const void> Keep = A;
-      R->Router = ClusterRouter::fromArenas(A->Centroids, A->Assignments,
-                                            Keep);
-      R->Inverted = InvertedIndex::fromArenas(
-          A->Covered, A->PrunedFeatures, A->FeatureHashes, A->ClusterBegin,
-          A->PostingBegin, A->PostingIds, A->PostingValues, Keep);
-      if (R->Options.RerankBudget > 0 && R->Options.QuantizedShortlist) {
-        R->Quant = Seg->Store.quantizedShared();
-        if (!R->Quant)
-          R->Quant = std::make_shared<const QuantizedStore>(
-              QuantizedStore::build(Seg->Store));
-      }
-      W.Routing = std::move(R);
+      W.Routing = detail::IndexRouting::alias(std::move(A), Seg->Store);
       W.RoutedSegment = Seg;
     } else if (!Caches[S].RouteBlob.empty()) {
       // Legacy carrier: the opaque "KASTRTNG" sidecar bytes (the ROUTE
@@ -845,19 +573,7 @@ IndexService::fromShardCaches(std::vector<ProfileStoreCache> Caches,
         return Result::error("shard cache " + std::to_string(S) +
                              "'s embedded routing sidecar does not match its "
                              "profile count");
-      auto R = std::make_shared<detail::IndexRouting>();
-      R->Options = Loaded.Options;
-      R->Router = std::move(Loaded.Router);
-      R->Inverted = InvertedIndex::build(Seg->Store, R->Router.assignments(),
-                                         R->Router.numCentroids(),
-                                         R->Options.MaxDocFrequency);
-      if (R->Options.RerankBudget > 0 && R->Options.QuantizedShortlist) {
-        R->Quant = Seg->Store.quantizedShared();
-        if (!R->Quant)
-          R->Quant = std::make_shared<const QuantizedStore>(
-              QuantizedStore::build(Seg->Store));
-      }
-      W.Routing = std::move(R);
+      W.Routing = detail::IndexRouting::restore(std::move(Loaded), Seg->Store);
       W.RoutedSegment = Seg;
     }
     std::lock_guard<std::mutex> Lock(Service.Shards[S]->WriterMutex);
@@ -875,20 +591,11 @@ std::vector<ProfileStoreCache> IndexService::toShardCaches() const {
     const detail::IndexShard &Shard = *Snap.Shards[S];
     ProfileStoreCache &Cache = Caches[S];
     Cache.KernelName = KernelName;
-    size_t LiveEntries = 0;
-    forEachLiveEntry(Shard.Segments, Shard.Tombstones,
-                     [&](const detail::IndexSegment &Seg, size_t I) {
-                       LiveEntries += Seg.Store.view(I).Size;
-                     });
-    Cache.Store.reserve(Shard.LiveCount, LiveEntries);
-    Cache.Names.reserve(Shard.LiveCount);
-    Cache.Labels.reserve(Shard.LiveCount);
-    forEachLiveEntry(Shard.Segments, Shard.Tombstones,
-                     [&](const detail::IndexSegment &Seg, size_t I) {
-                       Cache.Store.appendFrom(Seg.Store, I);
-                       Cache.Names.push_back(Seg.Names[I]);
-                       Cache.Labels.push_back(Seg.Labels[I]);
-                     });
+    copyLive(
+        [&](auto Fn) {
+          forEachLiveEntry(Shard.Segments, Shard.Tombstones, Fn);
+        },
+        Shard.LiveCount, Cache.Store, Cache.Names, Cache.Labels);
     // A shard whose whole published state is its one routed segment
     // (no staging tail, no tombstones) exports bit-identically to that
     // segment, so the fitted router and the quantized shortlist store
@@ -899,37 +606,11 @@ std::vector<ProfileStoreCache> IndexService::toShardCaches() const {
     // refit, no posting rebuild, and no requantize. Any other shape
     // leaves Routing null — the router's assignments would not line
     // up with the exported profile numbering.
-    const bool ExactRoutedCopy =
-        Shard.Routing && Shard.Segments.size() == 1 &&
-        Shard.Segments[0] == Shard.RoutedSegment && !Shard.Tombstones[0];
-    if (ExactRoutedCopy) {
-      const detail::IndexRouting &R = *Shard.Routing;
-      auto Arenas = std::make_shared<RoutingArenas>();
-      Arenas->MaxDocFrequency = R.Options.MaxDocFrequency;
-      Arenas->RerankBudget = R.Options.RerankBudget;
-      Arenas->DefaultNProbe = R.Options.DefaultNProbe;
-      Arenas->QuantizedShortlist = R.Options.QuantizedShortlist;
-      Arenas->ClusterNumCentroids = R.Options.Cluster.NumCentroids;
-      Arenas->ClusterMaxIterations = R.Options.Cluster.MaxIterations;
-      Arenas->ClusterTrainingSample = R.Options.Cluster.TrainingSample;
-      Arenas->ClusterSeed = R.Options.Cluster.Seed;
-      Arenas->Covered = R.covered();
-      Arenas->PrunedFeatures = R.Inverted.prunedFeatureCount();
-      Arenas->Assignments = R.Router.assignments();
-      Arenas->Centroids = R.Router.centroids();
-      Arenas->FeatureHashes = R.Inverted.featureHashes();
-      Arenas->ClusterBegin = R.Inverted.clusterBegin();
-      Arenas->PostingBegin = R.Inverted.postingBegin();
-      Arenas->PostingIds = R.Inverted.postingIds();
-      Arenas->PostingValues = R.Inverted.postingValues();
-      // The views alias the live routing structures (the centroid
-      // store is a cheap copy — mapped centroids share, owned ones are
-      // small); pinning the IndexRouting keeps every view valid for
-      // the cache's lifetime, snapshots and compactions be damned.
-      Arenas->Backing = std::shared_ptr<const void>(Shard.Routing);
-      Cache.Routing = std::move(Arenas);
-      if (Shard.Routing->Quant)
-        Cache.Store.adoptQuantized(Shard.Routing->Quant);
+    const auto &Routing = Shard.Scorer.routing();
+    if (Routing && Shard.Segments.size() == 1 && !Shard.Tombstones[0]) {
+      Cache.Routing = detail::IndexRouting::toArenas(Routing);
+      if (Routing->Quant)
+        Cache.Store.adoptQuantized(Routing->Quant);
     }
   }
   return Caches;

@@ -34,9 +34,13 @@
 ///     shard into one fresh arena without tombstones (old snapshots
 ///     keep the pre-compaction segments alive).
 ///
-/// Queries fan out across shards through parallelFor and k-way merge
-/// the per-shard top-k lists; ordering is deterministic for a given
-/// snapshot (similarity desc, then shard, then insertion position).
+/// Every shard is scored by index/SegmentScorer — the same scorer a
+/// ProfileIndex runs over its one segment — fed the shard's segments
+/// and tombstone bitmaps. A single query fans out across shards
+/// through parallelFor; a batch strides queries across workers. The
+/// per-shard top-k lists are k-way merged; ordering is deterministic
+/// for a given snapshot (similarity desc, then shard, then insertion
+/// position).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -84,17 +88,11 @@ struct IndexShard {
   size_t EntryCount = 0; ///< Entries across segments, tombstoned or not.
   size_t LiveCount = 0;  ///< Entries not tombstoned.
 
-  /// The two-tier retrieval structures fitted over RoutedSegment
-  /// (always the shard's first segment when valid), carried
-  /// copy-on-write: publishes share the pointers, so a snapshot keeps
-  /// the routing it was taken with. Null when the shard was never
-  /// routed. Routing applies iff RoutedSegment == Segments[0] — after
-  /// a compact() rebuilt the arena the identity no longer holds and
-  /// approximate queries fall back to the exact scan for this shard.
-  /// Segments after the routed one are the unrouted tail, always
-  /// scanned exactly.
-  std::shared_ptr<const IndexRouting> Routing;
-  std::shared_ptr<const IndexSegment> RoutedSegment;
+  /// The shard's scorer over Segments/Tombstones, built at publish;
+  /// every query of this shard runs through it. It shares the writer's
+  /// routing (copy-on-write, so a snapshot keeps the routing it was
+  /// taken with) while that routing still applies to Segments[0].
+  SegmentScorer Scorer;
 };
 
 } // namespace detail
@@ -165,12 +163,11 @@ public:
   queryBatch(const std::vector<const KernelProfile *> &Queries, size_t K,
              bool Normalize = true, size_t Threads = 0) const;
 
-  /// queryApprox() for a batch of borrowed profiles: same chunk
-  /// striding as queryBatch, but each chunk additionally keeps one
-  /// InvertedScratch per shard alive across all its queries — the
-  /// per-query allocation that dominates routed serving cost is paid
-  /// once per chunk instead of once per query. Results[I] is
-  /// bit-identical to queryApprox(*Queries[I], ...) on this snapshot.
+  /// queryApprox() for a batch of borrowed profiles, strided like
+  /// queryBatch; each chunk keeps one routed scratch per shard across
+  /// its queries, so the per-query allocation that dominates routed
+  /// serving is paid once per chunk. Results[I] is bit-identical to
+  /// queryApprox(*Queries[I], ...) on this snapshot.
   std::vector<std::vector<ServiceHit>>
   queryBatchApprox(const std::vector<const KernelProfile *> &Queries,
                    size_t K, bool Normalize = true, size_t NProbe = 0,
@@ -183,14 +180,13 @@ public:
                    size_t Threads = 0) const;
 
   /// query() through each routed shard's candidate-generation tier
-  /// (see IndexService::rebuildRouting): the routed segment is probed
-  /// via posting lists over the \p NProbe nearest centroids (0 defers
-  /// to the shard's RoutingOptions::DefaultNProbe, itself 0 = all),
-  /// candidates are exact re-ranked, and unrouted segments — later
-  /// seals, the staging tail, and every segment of never-routed or
-  /// post-compaction shards — are scanned exactly. Run exhaustively
-  /// (all centroids, no df-pruning, no re-rank budget) the result is
-  /// bit-identical to query(), tie-break order included.
+  /// (see index/SegmentScorer and IndexService::rebuildRouting),
+  /// probing the \p NProbe nearest centroids (0 defers to the shard's
+  /// RoutingOptions::DefaultNProbe, itself 0 = all). Unrouted segments
+  /// — later seals, the staging tail, and every segment of
+  /// never-routed or post-compaction shards — are scanned exactly. Run
+  /// exhaustively (all centroids, no df-pruning, no re-rank budget)
+  /// the result is bit-identical to query(), tie-break order included.
   std::vector<ServiceHit> queryApprox(const KernelProfile &Query, size_t K,
                                       bool Normalize = true,
                                       size_t NProbe = 0,
@@ -350,7 +346,7 @@ private:
     size_t LiveCount = 0;
     size_t EntryCount = 0;
     /// Routing fitted over RoutedSegment (must be Sealed[0] to apply);
-    /// copied into every publish. See detail::IndexShard.
+    /// handed to every publish's scorer.
     std::shared_ptr<const detail::IndexRouting> Routing;
     std::shared_ptr<const detail::IndexSegment> RoutedSegment;
   };
@@ -363,12 +359,10 @@ private:
     ShardWriter Writer;
   };
 
-  /// Name-hash shard routing. The string_view overload exists so
-  /// mapped (lazily decoded) name columns can be routed without
-  /// materializing strings; std::hash<std::string_view> is guaranteed
-  /// to agree with std::hash<std::string> on equal character
-  /// sequences, so both overloads route identically.
-  size_t shardOf(const std::string &Name) const;
+  /// Name-hash shard routing over string_view, so mapped (lazily
+  /// decoded) name columns are routed without materializing strings;
+  /// std::hash<std::string_view> is guaranteed to agree with
+  /// std::hash<std::string> on equal character sequences.
   size_t shardOf(std::string_view Name) const;
   /// Seals staging if it reached the threshold, then builds and
   /// publishes a new IndexShard from the writer state. Caller holds

@@ -24,7 +24,7 @@
 ///
 /// Candidate generation only *finds and pre-scores* survivors; final
 /// scores always come from the exact merge-join dot over the full
-/// profiles (the re-rank step in ProfileIndex / IndexService), so the
+/// profiles (the re-rank step in index/SegmentScorer), so the
 /// approximate tier can be bit-identical to the exact scan when run
 /// exhaustively (all centroids probed, no df-pruning, no re-rank
 /// budget) — the contract the differential tests pin.
@@ -38,7 +38,6 @@
 #include "core/ProfileStore.h"
 #include "index/ClusterRouter.h"
 #include "util/Error.h"
-#include "util/SimdDot.h"
 
 #include <cstdint>
 #include <iosfwd>
@@ -116,15 +115,6 @@ struct InvertedScratch {
   /// Accumulated partial score per candidate id (query value × posting
   /// value over matched, surviving features).
   std::vector<double> Acc;
-  /// The query flattened to dense hash/value arrays — the shape the
-  /// vectorized kernels (util/SimdDot) stream. Assigned once per query
-  /// by the retrieval layers and reused for routing, candidate
-  /// generation, shortlist scoring, and the exact re-rank.
-  FlatProfile Query;
-  /// Probe-table scan over the flattened query for the exact re-rank
-  /// (one table build per query, one branchless probe pass per
-  /// candidate); bit-identical to the merge-join dot.
-  simd::ExactScan Scan;
   /// Centroid-scoring scratch for ClusterRouter::route, reused across
   /// a batch so the per-query sweep allocates nothing once warm.
   std::vector<std::pair<double, uint32_t>> RouteScored;

@@ -9,13 +9,12 @@
 /// as fingerprints" claim served directly. A ProfileIndex holds N
 /// prepared profiles in a core/ProfileStore arena (one flat
 /// structure-of-arrays, not N heap vectors) with names, labels and
-/// cached self-norms, and answers top-k nearest-neighbor queries by
-/// merge-join dot products of the query against each stored
-/// ProfileView. No Gram matrix is built: one query costs O(N · dot)
-/// instead of the O(N² · dot) a full-matrix detour would, the scan
-/// streams one contiguous hash array instead of chasing N pointers,
-/// and batched queries parallelize per query reusing one scratch
-/// buffer per worker thread.
+/// cached self-norms. It is a thin single-segment facade over
+/// index/SegmentScorer, the one top-k scorer it shares with every
+/// IndexService shard: query() is the exact O(N · dot) scan (no Gram
+/// matrix, one contiguous hash array streamed), queryApprox() the
+/// routed candidate → shortlist → exact re-rank path, and the batch
+/// forms stride queries across workers with one scratch per worker.
 ///
 /// Indexes round-trip through the versioned binary profile cache
 /// (core/ProfileSerializer; saved in the v2 block format, v1 caches
@@ -31,7 +30,7 @@
 #include "core/ProfileSerializer.h"
 #include "core/ProfileStore.h"
 #include "core/StringKernel.h"
-#include "index/InvertedIndex.h"
+#include "index/SegmentScorer.h"
 #include "util/Error.h"
 
 #include <memory>
@@ -42,30 +41,6 @@
 #include <vector>
 
 namespace kast {
-
-namespace detail {
-
-/// The immutable routing tier over a prefix of an index's arena: the
-/// fitted coarse router, the posting lists rebuilt from its
-/// assignments, and the options both were built with. Shared by
-/// pointer so copied indexes (and service snapshots) alias one fitted
-/// structure; entries appended after the fit form the unrouted tail
-/// (ids >= covered()) and are always scanned exactly.
-struct IndexRouting {
-  ClusterRouter Router;
-  InvertedIndex Inverted;
-  RoutingOptions Options;
-  /// The int8 scan tier over the routed arena, built when the options
-  /// ask for a quantized shortlist (RerankBudget > 0 &&
-  /// QuantizedShortlist); null otherwise. Self-contained (values and
-  /// CSR copied at build), so it stays valid for ids < covered() even
-  /// after the owning store appends an unrouted tail.
-  std::shared_ptr<const QuantizedStore> Quant;
-
-  size_t covered() const { return Router.numProfiles(); }
-};
-
-} // namespace detail
 
 namespace detail {
 
@@ -101,14 +76,6 @@ std::string majorityVote(size_t Count, LabelAtFn LabelAt) {
 }
 
 } // namespace detail
-
-/// One retrieval hit: the index entry and its similarity to the query.
-struct Neighbor {
-  size_t Index = 0;
-  double Similarity = 0.0;
-
-  bool operator==(const Neighbor &Rhs) const = default;
-};
 
 /// Top-k nearest-neighbor index over prepared kernel profiles.
 class ProfileIndex {
@@ -166,9 +133,9 @@ public:
   std::vector<Neighbor> query(const KernelProfile &Query, size_t K,
                               bool Normalize = true) const;
 
-  /// query() for a batch, one query per parallelFor item; candidate
-  /// scratch (the O(N) similarity buffer) is allocated once per worker
-  /// thread and reused across that thread's queries.
+  /// query() for a batch: queries are strided across worker chunks
+  /// and each chunk allocates its scoring scratch (the O(N) similarity
+  /// buffer) once, reusing it across the chunk's queries.
   std::vector<std::vector<Neighbor>>
   queryBatch(const std::vector<KernelProfile> &Queries, size_t K,
              bool Normalize = true, size_t Threads = 0) const;
@@ -199,21 +166,20 @@ public:
     return Routing ? &Routing->Options : nullptr;
   }
 
-  /// query() through the candidate-generation tier: probes the
-  /// \p NProbe nearest centroids' posting segments (0 defers to
-  /// RoutingOptions::DefaultNProbe, itself 0 = all centroids), exact
-  /// re-ranks the candidates with the merge-join dot, and pads with
-  /// non-candidates at similarity exactly 0.0 in id order when fewer
-  /// than K candidates score above zero. Run exhaustively (all
-  /// centroids, MaxDocFrequency 1.0, RerankBudget 0) the result is
-  /// bit-identical to query(), including tie-break order. Falls back
-  /// to query() when unrouted.
+  /// query() through the candidate-generation tier (see
+  /// index/SegmentScorer): probes the \p NProbe nearest centroids'
+  /// posting segments (0 defers to RoutingOptions::DefaultNProbe,
+  /// itself 0 = all centroids), exact re-ranks the candidates, and
+  /// scans the unrouted tail exactly. Run exhaustively (all centroids,
+  /// MaxDocFrequency 1.0, RerankBudget 0) the result is bit-identical
+  /// to query(), including tie-break order. Falls back to query() when
+  /// unrouted.
   std::vector<Neighbor> queryApprox(const KernelProfile &Query, size_t K,
                                     bool Normalize = true,
                                     size_t NProbe = 0) const;
 
-  /// queryApprox() for a batch; mirrors queryBatch's chunked
-  /// parallelism with one InvertedScratch per worker chunk.
+  /// queryApprox() for a batch, strided across workers like
+  /// queryBatch.
   std::vector<std::vector<Neighbor>>
   queryBatchApprox(const std::vector<KernelProfile> &Queries, size_t K,
                    bool Normalize = true, size_t NProbe = 0,
@@ -242,6 +208,12 @@ private:
   std::vector<std::string> Labels;
   ProfileStore Store;
   std::shared_ptr<const detail::IndexRouting> Routing;
+
+  /// The one-segment scorer over Store (routing covers its prefix).
+  /// Built per call: add() may move the arena it points into.
+  detail::SegmentScorer scorer() const {
+    return {{{&Store, nullptr, 0}}, Routing, &Store};
+  }
 };
 
 } // namespace kast

@@ -600,6 +600,142 @@ TEST(InvertedIndexTest, EmbeddedRoutingToleratesAgreeingSidecarOnly) {
 }
 
 //===----------------------------------------------------------------------===//
+// One scorer: tombstones, budgets, and index/service agreement
+//===----------------------------------------------------------------------===//
+
+TEST(InvertedIndexTest, TombstonedCandidatesDoNotUseUpTheRerankBudget) {
+  // Entry I holds the shared feature 1 at weight I + 1 plus a private
+  // feature, so every entry is a candidate and the best-scoring ones
+  // are the newest. Removing the three best must not leave the
+  // budget-3 shortlist empty: the live runners-up take their place.
+  KernelProfile Query;
+  Query.add(1, 1.0);
+  Query.finalize();
+  for (bool Quantized : {false, true}) {
+    const std::string What = Quantized ? "quantized" : "partial-score";
+    IndexServiceOptions SvcOpts;
+    SvcOpts.Shards = 1;
+    IndexService Service("test", SvcOpts);
+    for (size_t I = 0; I < 20; ++I) {
+      KernelProfile P;
+      P.add(1, static_cast<double>(I + 1));
+      P.add(1000 + I, 1.0);
+      P.finalize();
+      Service.add("e" + std::to_string(I), "", P);
+    }
+    RoutingOptions Opts;
+    Opts.RerankBudget = 3;
+    Opts.QuantizedShortlist = Quantized;
+    Opts.Cluster.NumCentroids = 2;
+    Service.rebuildRouting(Opts, 1);
+    ASSERT_TRUE(Service.routed()) << What;
+    for (const char *Name : {"e17", "e18", "e19"})
+      ASSERT_EQ(Service.remove(Name), 1u) << What;
+
+    const IndexSnapshot Snap = Service.snapshot();
+    const std::vector<ServiceHit> Exact = Snap.query(Query, 5, false, 1);
+    ASSERT_EQ(Exact.size(), 5u) << What;
+    EXPECT_EQ(Exact[0].Name, "e16") << What;
+    EXPECT_EQ(Exact[4].Name, "e12") << What;
+
+    // The budget admits three candidates; they are the three best live
+    // entries, scored exactly.
+    const std::vector<ServiceHit> Approx =
+        Snap.queryApprox(Query, 5, false, 0, 1);
+    ASSERT_EQ(Approx.size(), 3u) << What;
+    for (size_t I = 0; I < Approx.size(); ++I) {
+      EXPECT_EQ(Approx[I].Name, Exact[I].Name) << What << " rank " << I;
+      EXPECT_EQ(std::bit_cast<uint64_t>(Approx[I].Similarity),
+                std::bit_cast<uint64_t>(Exact[I].Similarity))
+          << What << " rank " << I;
+    }
+    expectHitsBitIdentical(Snap.queryBatchApprox({Query}, 5, false, 0, 1)[0],
+                           Approx, What + " batch");
+  }
+}
+
+TEST(InvertedIndexTest, ProfileIndexAndOneShardServiceAgreeUnderPrunedRouting) {
+  // Non-exhaustive routing (probing fewer centroids than fitted,
+  // df-pruning, a re-rank budget) is allowed to miss true neighbors,
+  // but ProfileIndex and a one-shard service run the same scorer over
+  // the same arena and fit, so they must miss identically — including
+  // over the unrouted tail added after the fit.
+  Rng R(5151);
+  auto Table = TokenTable::create();
+  std::vector<WeightedString> Corpus = randomCorpus(Table, R, 120, "c");
+  std::vector<WeightedString> Tail = randomCorpus(Table, R, 10, "t");
+  BlendedSpectrumKernel Kernel = testKernel();
+  std::vector<KernelProfile> Queries;
+  for (const WeightedString &Q : randomCorpus(Table, R, 12, "q"))
+    Queries.push_back(Kernel.profile(Q));
+  Queries.push_back(Kernel.profile(Corpus[3]));
+  Queries.push_back(Kernel.profile(Tail[2]));
+
+  size_t DiffersFromExact = 0;
+  for (bool Quantized : {false, true}) {
+    const std::string What = Quantized ? "quantized" : "partial-score";
+    RoutingOptions Opts;
+    Opts.Cluster.NumCentroids = 6;
+    Opts.MaxDocFrequency = 0.3;
+    Opts.RerankBudget = 8;
+    Opts.QuantizedShortlist = Quantized;
+
+    ProfileIndex Index = ProfileIndex::build(Kernel, Corpus, {}, 1);
+    IndexServiceOptions SvcOpts;
+    SvcOpts.Shards = 1;
+    IndexService Service = IndexService::fromIndex(Index, SvcOpts);
+    Index.buildRouting(Opts, 1);
+    Service.rebuildRouting(Opts, 1);
+    for (const WeightedString &S : Tail) {
+      const KernelProfile P = Kernel.profile(S);
+      Index.add(S.name(), "", P);
+      Service.add(S.name(), "", P);
+    }
+    ASSERT_EQ(Index.routedCount(), Corpus.size()) << What;
+    const IndexSnapshot Snap = Service.snapshot();
+    ASSERT_EQ(Snap.routedShardCount(), 1u) << What;
+
+    const auto Names = [&](const std::vector<Neighbor> &Hits) {
+      std::vector<ServiceHit> Out;
+      for (const Neighbor &H : Hits)
+        Out.push_back({Index.name(H.Index), Index.label(H.Index),
+                       H.Similarity});
+      return Out;
+    };
+    for (bool Normalize : {true, false}) {
+      for (size_t NProbe : {size_t(1), size_t(2)}) {
+        for (size_t K : {size_t(1), size_t(5), size_t(40)}) {
+          for (size_t Q = 0; Q < Queries.size(); ++Q) {
+            const std::string Case =
+                What + " query " + std::to_string(Q) + " nprobe " +
+                std::to_string(NProbe) + " k " + std::to_string(K) +
+                (Normalize ? " cosine" : " raw");
+            const std::vector<Neighbor> Approx =
+                Index.queryApprox(Queries[Q], K, Normalize, NProbe);
+            expectHitsBitIdentical(
+                Snap.queryApprox(Queries[Q], K, Normalize, NProbe, 1),
+                Names(Approx), Case);
+            DiffersFromExact +=
+                Approx != Index.query(Queries[Q], K, Normalize);
+          }
+          const std::vector<std::vector<Neighbor>> IndexBatch =
+              Index.queryBatchApprox(Queries, K, Normalize, NProbe, 3);
+          const std::vector<std::vector<ServiceHit>> ServiceBatch =
+              Snap.queryBatchApprox(Queries, K, Normalize, NProbe, 3);
+          for (size_t Q = 0; Q < Queries.size(); ++Q)
+            expectHitsBitIdentical(ServiceBatch[Q], Names(IndexBatch[Q]),
+                                   What + " batch query " +
+                                       std::to_string(Q));
+        }
+      }
+    }
+  }
+  // The settings really are non-exhaustive: some answers differ from
+  // the exact scan, so the agreement above is not the exhaustive one.
+  EXPECT_GT(DiffersFromExact, 0u);
+}
+
+//===----------------------------------------------------------------------===//
 // Router unit behavior
 //===----------------------------------------------------------------------===//
 
