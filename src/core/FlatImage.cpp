@@ -1,4 +1,4 @@
-//===- core/FlatImage.cpp - v3 flat-image profile cache --------------------===//
+//===- core/FlatImage.cpp - Flat-image profile cache -----------------------===//
 //
 // Part of KAST, under the MIT License.
 //
@@ -10,8 +10,10 @@
 #include "util/MappedImage.h"
 
 #include <bit>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <string_view>
 
@@ -52,8 +54,8 @@ const char *sectionName(FlatSectionId Id) {
     return "quantized-values";
   case FlatSectionId::QuantScales:
     return "quantized-scales";
-  case FlatSectionId::Route:
-    return "route";
+  case FlatSectionId::RetiredRoute:
+    return "retired-route";
   case FlatSectionId::RouteMeta:
     return "routing-meta";
   case FlatSectionId::RouteAssignments:
@@ -259,11 +261,9 @@ Status validateStringTable(const unsigned char *Data, uint64_t Size,
 template <typename Column>
 Status writeImageImpl(const std::string &KernelName, const Column &Names,
                       const Column &Labels, const ProfileStore &Store,
-                      const std::string &Path, const std::string &RouteBlob,
-                      const RoutingArenas *Routing) {
+                      const RoutingArenas *Routing, std::ostream &Out) {
   if constexpr (std::endian::native != std::endian::little)
-    return Status::error("flat image writer requires a little-endian host; "
-                         "use the v2 cache format");
+    return Status::error("flat image writer requires a little-endian host");
   if (Names.size() != Store.size() || Labels.size() != Store.size())
     return Status::error("flat image has " + std::to_string(Store.size()) +
                          " profiles but " + std::to_string(Names.size()) +
@@ -316,13 +316,6 @@ Status writeImageImpl(const std::string &KernelName, const Column &Names,
     Sections.push_back(SectionOut::borrowed(FlatSectionId::QuantScales,
                                             Quant->scales().data(), N * 8));
   }
-  // The legacy opaque blob and the arena sections are exclusive: the
-  // arenas carry strictly more (they restore without a rebuild), so a
-  // v4 image never wastes pages on the blob form.
-  if (!RouteBlob.empty() && !Routing)
-    Sections.push_back(SectionOut::borrowed(FlatSectionId::Route,
-                                            RouteBlob.data(),
-                                            RouteBlob.size()));
   if (Routing) {
     const RoutingArenas &R = *Routing;
     const uint64_t C = R.Centroids.size();
@@ -391,9 +384,6 @@ Status writeImageImpl(const std::string &KernelName, const Column &Names,
   }
   const uint64_t HeaderSum = checksumBytes(Prelude.data(), Prelude.size());
 
-  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-  if (!Out)
-    return Status::error("cannot open '" + Path + "' for writing");
   Out.write(reinterpret_cast<const char *>(Prelude.data()),
             static_cast<std::streamsize>(HeaderSumPrefix));
   char Tail[16] = {};
@@ -415,29 +405,78 @@ Status writeImageImpl(const std::string &KernelName, const Column &Names,
                 static_cast<std::streamsize>(S.Size));
     Written = S.Offset + S.Size;
   }
-  Out.close();
+  Out.flush();
   if (!Out)
-    return Status::error("cannot flush '" + Path + "'");
+    return Status::error("failed writing flat image");
   return Status();
 }
 
+/// Writes through \p Write into "<Path>.tmp", then renames it over
+/// \p Path. The store being written may alias a mapping of \p Path
+/// itself (rewriting a loaded image in place): truncating \p Path
+/// first would destroy the bytes the writer is about to copy, while
+/// the rename leaves a live mapping on the old inode.
+Status writeStaged(const std::string &Path,
+                   const std::function<Status(std::ostream &)> &Write) {
+  const std::string Staging = Path + ".tmp";
+  Status S;
+  {
+    std::ofstream Out(Staging, std::ios::binary | std::ios::trunc);
+    if (!Out)
+      return Status::error("cannot open '" + Staging + "' for writing");
+    S = Write(Out);
+    Out.close();
+    if (S.ok() && !Out)
+      S = Status::error("cannot flush '" + Staging + "'");
+  }
+  if (S.ok() && std::rename(Staging.c_str(), Path.c_str()) != 0)
+    S = Status::error("cannot rename '" + Staging + "' into place");
+  if (!S.ok()) {
+    std::remove(Staging.c_str());
+    return Status::error(S.message() + " ('" + Path + "')");
+  }
+  return S;
+}
+
 } // namespace
+
+Status kast::validateCsrOffsets(const uint64_t *Offsets, size_t Count,
+                                uint64_t Total) {
+  if (Count == 0)
+    return Status::error("corrupt flat image: empty offset array");
+  if (Offsets[0] != 0)
+    return Status::error("corrupt flat image: offsets must start at 0");
+  for (size_t I = 1; I < Count; ++I)
+    if (Offsets[I] < Offsets[I - 1])
+      return Status::error("corrupt flat image: offsets not monotonic");
+  if (Offsets[Count - 1] != Total)
+    return Status::error("corrupt flat image: offsets disagree with entry "
+                         "total");
+  return Status();
+}
 
 Status kast::writeProfileStoreImageFile(const std::string &KernelName,
                                         const std::vector<std::string> &Names,
                                         const std::vector<std::string> &Labels,
                                         const ProfileStore &Store,
                                         const std::string &Path,
-                                        const std::string &RouteBlob) {
-  return writeImageImpl(KernelName, Names, Labels, Store, Path, RouteBlob,
-                        nullptr);
+                                        const RoutingArenas *Routing) {
+  return writeStaged(Path, [&](std::ostream &Out) {
+    return writeImageImpl(KernelName, Names, Labels, Store, Routing, Out);
+  });
 }
 
 Status kast::writeProfileStoreImageFile(const ProfileStoreCache &Cache,
                                         const std::string &Path) {
+  return writeStaged(Path, [&](std::ostream &Out) {
+    return writeProfileStoreImage(Cache, Out);
+  });
+}
+
+Status kast::writeProfileStoreImage(const ProfileStoreCache &Cache,
+                                    std::ostream &Out) {
   return writeImageImpl(Cache.KernelName, Cache.Names, Cache.Labels,
-                        Cache.Store, Path, Cache.RouteBlob,
-                        Cache.Routing.get());
+                        Cache.Store, Cache.Routing.get(), Out);
 }
 
 Expected<ProfileStoreCache>
@@ -445,8 +484,7 @@ kast::readProfileStoreImageFile(const std::string &Path,
                                 const FlatImageReadOptions &Options) {
   using Result = Expected<ProfileStoreCache>;
   if constexpr (std::endian::native != std::endian::little)
-    return Result::error("flat image reader requires a little-endian host; "
-                         "use the v2 cache format");
+    return Result::error("flat image reader requires a little-endian host");
 
   Expected<std::shared_ptr<const MappedImage>> Opened =
       MappedImage::open(Path, Options.ForceBuffered);
@@ -463,9 +501,6 @@ kast::readProfileStoreImageFile(const std::string &Path,
     return Result::error("'" + Path + "': " + Message);
   };
 
-  if (Size >= 8 && std::memcmp(Data, ProfileCacheMagic, 8) == 0)
-    return fail("this is a v1/v2 profile cache; read it with "
-                "readProfileStoreCacheFile (core/ProfileSerializer)");
   if (Size < HeaderBytes)
     return fail("truncated flat image: missing header");
   if (std::memcmp(Data, FlatImageMagic, 8) != 0)
@@ -519,7 +554,12 @@ kast::readProfileStoreImageFile(const std::string &Path,
     const uint32_t MaxId = Version >= FlatImageVersionRouted
                                ? static_cast<uint32_t>(
                                      FlatSectionId::PostingValues)
-                               : static_cast<uint32_t>(FlatSectionId::Route);
+                               : static_cast<uint32_t>(
+                                     FlatSectionId::QuantScales);
+    if (Id == static_cast<uint32_t>(FlatSectionId::RetiredRoute))
+      return fail("flat image carries the retired opaque routing section "
+                  "(id 11), which this reader no longer restores; re-save "
+                  "it to embed the routing as version-4 sections");
     if (Id == 0 || Id > MaxId)
       return fail("corrupt flat image: unknown section id " +
                   std::to_string(Id) + " for version " +
@@ -587,7 +627,7 @@ kast::readProfileStoreImageFile(const std::string &Path,
        {FlatSectionId::KernelName, FlatSectionId::Offsets,
         FlatSectionId::SelfDots, FlatSectionId::Norms, FlatSectionId::Names,
         FlatSectionId::Labels, FlatSectionId::QuantScales,
-        FlatSectionId::Route, FlatSectionId::RouteMeta,
+        FlatSectionId::RouteMeta,
         FlatSectionId::RouteAssignments, FlatSectionId::CentroidOffsets,
         FlatSectionId::CentroidSelfDots, FlatSectionId::CentroidNorms,
         FlatSectionId::PostingClusterBegin, FlatSectionId::PostingBegin})
@@ -669,12 +709,6 @@ kast::readProfileStoreImageFile(const std::string &Path,
                 sectionData(FlatSectionId::QuantScales)),
             static_cast<size_t>(N), static_cast<size_t>(Total), Backing)));
   }
-
-  const SectionIn &Route = section(FlatSectionId::Route);
-  if (Route.Present)
-    Cache.RouteBlob.assign(
-        reinterpret_cast<const char *>(sectionData(FlatSectionId::Route)),
-        static_cast<size_t>(Route.Size));
 
   // v4 routing arenas: all twelve sections or none. Structural checks
   // here are the always-on tier — everything an in-bounds query walk

@@ -1,27 +1,29 @@
-//===- core/FlatImage.h - v3 flat-image profile cache ----------*- C++ -*-===//
+//===- core/FlatImage.h - Flat-image profile cache --------------*- C++ -*-===//
 //
 // Part of KAST, under the MIT License.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The v3 "flat image" cache format: a ProfileStore serialized so that
-/// the on-disk layout *is* the in-memory layout. Where the v2 block
-/// format (core/ProfileSerializer) is read-then-own — three bulk reads
-/// into freshly allocated arenas, O(entries) load time and a private
-/// resident copy per process — a flat image is mmap-then-view: the
-/// reader maps the file read-only, validates the header and metadata
-/// sections, and hands back a ProfileStore whose arrays alias the
-/// mapping (ProfileStore::fromMapped). Restart cost is validation plus
-/// first-page faults, independent of entry count; every process
-/// serving the same image shares one set of clean page-cache pages;
-/// and corpora larger than RAM are served by letting the kernel page.
+/// The "flat image", KAST's one on-disk profile format: a ProfileStore
+/// (with names, labels, and optionally its quantized sidecar and
+/// routing tier) serialized so that the on-disk layout *is* the
+/// in-memory layout. Per-string profiles are computed once, written,
+/// and reloaded bit-exactly, so Gram growth and index queries never
+/// rebuild a profile the corpus already paid for. Loading is
+/// mmap-then-view: the reader maps the file read-only, validates the
+/// header and metadata sections, and hands back a ProfileStore whose
+/// arrays alias the mapping (ProfileStore::fromMapped). Restart cost
+/// is validation plus first-page faults, independent of entry count;
+/// every process serving the same image shares one set of clean
+/// page-cache pages; and corpora larger than RAM are served by
+/// letting the kernel page.
 ///
 /// Wire layout (all integers little-endian; doubles as IEEE-754 bit
 /// patterns; byte offsets from the start of the file):
 ///
 ///   0    magic          8 bytes  "KASTFLAT"
-///   8    version        u32      3
+///   8    version        u32      3, or 4 with routing sections
 ///   12   sectionCount   u32
 ///   16   kernelHash     u64      checksumBytes(kernel name bytes)
 ///   24   profileCount   u64      N
@@ -47,8 +49,9 @@
 ///   M LABELS      same shape as NAMES
 ///     QVALUES     total x i8    QuantizedStore codes (sidecar)
 ///     QSCALES     N x f64       QuantizedStore per-profile scales
-///     ROUTE       opaque "KASTRTNG" routing-sidecar bytes (v3 legacy:
-///                 restoring from it still rebuilds posting lists)
+///
+/// Section id 11 belonged to a retired opaque routing blob; the reader
+/// rejects it with a diagnostic, and the other ids keep their numbers.
 ///
 /// Version 4 adds the routing tier as first-class flat arenas — the
 /// canonical in-memory CSR layout of index/ClusterRouter and
@@ -73,17 +76,17 @@
 ///     PVALUES     P x f64       posting values (impact-ordered)
 ///
 /// SELFDOTS and NORMS ride in the image because recomputing them is
-/// the O(entries) pass that makes the v2 load linear; QVALUES/QSCALES
+/// an O(entries) pass over the arena; QVALUES/QSCALES
 /// (present iff the store had a built sidecar at write time) and the
 /// routing sections let a routed, quantized index restore with no
 /// rebuild at all.
 ///
 /// Validation. Opening always verifies the header checksum (which
 /// covers the section table), section bounds and alignment, the
-/// kernel-name hash, the CSR offset invariants (the shared
-/// validateCsrOffsets seam with the v2 reader), and the checksums of
-/// every metadata-sized section (everything O(N): offsets, self-dots,
-/// norms, names, labels, scales, route, and the routing meta /
+/// kernel-name hash, the CSR offset invariants (validateCsrOffsets),
+/// and the checksums of every metadata-sized section (everything
+/// O(N): offsets, self-dots, norms, names, labels, scales, and the
+/// routing meta /
 /// assignment / CSR-offset sections). The entry-sized sections
 /// (HASHES/VALUES/QVALUES and the routing payload arrays
 /// CHASHES/CVALUES/PFEATURES/PIDS/PVALUES) are checksummed only under
@@ -92,6 +95,12 @@
 /// exists to avoid. The buffered fallback (no mmap, or
 /// KAST_FORCE_BUFFERED=1) always deep-validates: it has already paid
 /// for every byte.
+///
+/// Writing. Every writer stages the image under "<path>.tmp" and
+/// renames it into place, so a failed write leaves the previous file
+/// intact and rewriting an image that is still mapped (the store
+/// being written may alias it) is safe: the live mapping keeps the old
+/// inode.
 ///
 /// Lifetime. The returned cache's Store holds the MappedImage via
 /// shared_ptr; whoever ends up owning the store (e.g. an IndexService
@@ -105,23 +114,37 @@
 #ifndef KAST_CORE_FLATIMAGE_H
 #define KAST_CORE_FLATIMAGE_H
 
-#include "core/ProfileSerializer.h"
+#include "core/ProfileStore.h"
+#include "core/StringColumn.h"
 #include "util/Error.h"
 
+#include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
 namespace kast {
+
+/// The on-disk magic and the two format versions. Version 4 is
+/// version 3 plus the routing-arena sections; a writer emits 4 only
+/// when those sections are present, so unrouted images stay
+/// bit-identical to v3 and v3-only readers never see sections they
+/// cannot name.
+inline constexpr char FlatImageMagic[8] = {'K', 'A', 'S', 'T',
+                                           'F', 'L', 'A', 'T'};
+inline constexpr uint32_t FlatImageVersion = 3;
+inline constexpr uint32_t FlatImageVersionRouted = 4;
 
 /// Section alignment (and the x86-64/aarch64 page size): sections
 /// start page-aligned so each is independently mappable/advisable and
 /// any 8-byte element view into it is well-aligned.
 inline constexpr uint64_t FlatImageAlignment = 4096;
 
-/// Section identifiers. Values are wire constants; ids above Route are
-/// the version-4 routing arenas and are rejected in version-3 files
-/// (version skew), so a v3-era reader and a v4 file fail loudly in
-/// both directions.
+/// Section identifiers. Values are wire constants; ids above
+/// RetiredRoute are the version-4 routing arenas and are rejected in
+/// version-3 files (version skew), so a v3-era reader and a v4 file
+/// fail loudly in both directions. RetiredRoute is never written and
+/// always rejected.
 enum class FlatSectionId : uint32_t {
   KernelName = 1,
   Offsets = 2,
@@ -133,7 +156,7 @@ enum class FlatSectionId : uint32_t {
   Labels = 8,
   QuantValues = 9,
   QuantScales = 10,
-  Route = 11,
+  RetiredRoute = 11,
   // v4 routing arenas (all-or-nothing):
   RouteMeta = 12,
   RouteAssignments = 13,
@@ -149,6 +172,79 @@ enum class FlatSectionId : uint32_t {
   PostingValues = 23,
 };
 
+/// CSR validation for the image reader's offset arrays: \p Offsets
+/// must hold \p Count elements (profile count + 1) with a leading 0,
+/// non-decreasing values, and a final element equal to \p Total (the
+/// entry count the header promised). Runs *before* any entry blob is
+/// aliased, so a corrupt offset array can never become an
+/// out-of-bounds profile view. Returns a corruption diagnostic naming
+/// the first violation.
+Status validateCsrOffsets(const uint64_t *Offsets, size_t Count,
+                          uint64_t Total);
+
+/// The routing tier flattened into serialization-neutral CSR arenas —
+/// the canonical interchange form between the index layer (which fits
+/// and queries routing) and the v4 flat image (which maps it). Every
+/// array is an ArrayView aiming either into index-layer owned vectors
+/// (export: kept alive by Backing aliasing the live routing object) or
+/// into a mapped image (restore: kept alive by Backing holding the
+/// MappedImage). core carries and serializes this struct; only the
+/// index layer (index/SegmentScorer's IndexRouting) interprets it.
+struct RoutingArenas {
+  // Routing options, flattened to scalars (the "KASTIVIX" meta).
+  double MaxDocFrequency = 1.0;
+  uint64_t RerankBudget = 0;
+  uint64_t DefaultNProbe = 0;
+  bool QuantizedShortlist = true;
+  uint64_t ClusterNumCentroids = 0;
+  uint64_t ClusterMaxIterations = 8;
+  uint64_t ClusterTrainingSample = 0;
+  uint64_t ClusterSeed = 0;
+
+  /// Profiles covered by the routing (== Assignments.size()): a prefix
+  /// of the store, the whole store for service shard exports.
+  uint64_t Covered = 0;
+  /// Distinct features dropped by the df threshold at build time
+  /// (diagnostic; rides along so a restored index reports it).
+  uint64_t PrunedFeatures = 0;
+
+  /// Cluster id per covered profile, values < Centroids.size().
+  ArrayView<uint32_t> Assignments;
+  /// Unit-norm sparse centroids (a small ProfileStore, owned or
+  /// mapped).
+  ProfileStore Centroids;
+
+  // The inverted-index posting CSR (see index/InvertedIndex):
+  /// Surviving feature hashes, cluster-major, sorted per cluster.
+  ArrayView<uint64_t> FeatureHashes;
+  /// Cluster C's features span FeatureHashes[ClusterBegin[C],
+  /// ClusterBegin[C+1]); size Centroids.size() + 1.
+  ArrayView<uint64_t> ClusterBegin;
+  /// Feature F's postings span [PostingBegin[F], PostingBegin[F+1]);
+  /// size FeatureHashes.size() + 1.
+  ArrayView<uint64_t> PostingBegin;
+  ArrayView<uint32_t> PostingIds;
+  ArrayView<double> PostingValues;
+
+  /// Keep-alive for whatever the views aim into.
+  std::shared_ptr<const void> Backing;
+};
+
+/// A profile collection in memory: per-profile names/labels alongside
+/// one ProfileStore, plus the routing tier when the collection has
+/// one — exactly what one flat image holds.
+struct ProfileStoreCache {
+  /// name() of the kernel that produced the profiles; profiles from
+  /// different kernels are not comparable, so loaders verify this.
+  std::string KernelName;
+  StringColumn Names;  ///< size() == Store.size()
+  StringColumn Labels; ///< size() == Store.size()
+  ProfileStore Store;
+  /// The routing tier as flat arenas (the v4 sections), or null when
+  /// the collection is unrouted.
+  std::shared_ptr<const RoutingArenas> Routing;
+};
+
 struct FlatImageReadOptions {
   /// Also verify the checksums of the entry-sized sections (hashes,
   /// values, quantized codes) — an O(entries) sweep that faults every
@@ -161,30 +257,34 @@ struct FlatImageReadOptions {
 };
 
 /// Writes \p Store (with its names/labels, its quantized sidecar if
-/// one is built, and \p RouteBlob if non-empty) as a v3 flat image at
-/// \p Path. The writer emits little-endian bytes on any host; the
-/// zero-copy *reader* additionally requires a little-endian host.
+/// one is built, and \p Routing when non-null: version 4) as a flat
+/// image at \p Path, staged through "<Path>.tmp". The writer emits
+/// little-endian bytes; both writer and reader require a
+/// little-endian host.
 Status writeProfileStoreImageFile(const std::string &KernelName,
                                   const std::vector<std::string> &Names,
                                   const std::vector<std::string> &Labels,
                                   const ProfileStore &Store,
                                   const std::string &Path,
-                                  const std::string &RouteBlob = {});
+                                  const RoutingArenas *Routing = nullptr);
 
-/// Struct form: uses Cache.Store's sidecar, and embeds the routing
-/// tier. Cache.Routing (arena sections, version 4) takes precedence;
-/// a legacy Cache.RouteBlob without arenas still writes a v3 ROUTE
-/// section.
+/// Struct form: uses Cache.Store's sidecar, and embeds Cache.Routing
+/// as the version-4 arena sections when present.
 Status writeProfileStoreImageFile(const ProfileStoreCache &Cache,
                                   const std::string &Path);
+
+/// The unstaged stream form behind the file writers, for callers that
+/// stage files themselves (workloads/CorpusIO's sharded save).
+Status writeProfileStoreImage(const ProfileStoreCache &Cache,
+                              std::ostream &Out);
 
 /// Opens, validates, and views a v3/v4 flat image. On success the
 /// returned cache's Store (and quantized sidecar, when the image
 /// carries one) alias the mapping, Names/Labels are lazily decoded
 /// section-backed columns (core/StringColumn), and — for a v4 image —
-/// Cache.Routing views the routing arenas in place. Rejects v1/v2
-/// caches with a pointer at the right reader, and any structural or
-/// checksum violation with a diagnostic naming the section.
+/// Cache.Routing views the routing arenas in place. Rejects any
+/// structural or checksum violation with a diagnostic naming the
+/// section.
 Expected<ProfileStoreCache>
 readProfileStoreImageFile(const std::string &Path,
                           const FlatImageReadOptions &Options = {});

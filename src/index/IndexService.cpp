@@ -8,8 +8,6 @@
 #include "util/ThreadPool.h"
 
 #include <algorithm>
-#include <filesystem>
-#include <sstream>
 
 using namespace kast;
 
@@ -410,77 +408,6 @@ void IndexService::rebuildRouting(const RoutingOptions &RoutingOpts,
 }
 
 //===----------------------------------------------------------------------===//
-// Service: routing persistence
-//===----------------------------------------------------------------------===//
-
-/// "<Dir>/shard-NNN.route", numbered like workloads/CorpusIO's
-/// "shard-NNN.kpc" so a routed shard's sidecar sits beside its cache.
-static std::string shardRoutePath(const std::string &Dir, size_t Shard) {
-  std::string Number = std::to_string(Shard);
-  while (Number.size() < 3)
-    Number.insert(Number.begin(), '0');
-  return Dir + "/shard-" + Number + ".route";
-}
-
-Status IndexService::saveShardRouting(const std::string &Dir) const {
-  IndexSnapshot Snap = snapshot();
-  for (size_t S = 0; S < Snap.Shards.size(); ++S) {
-    const detail::IndexShard &Shard = *Snap.Shards[S];
-    const std::string Path = shardRoutePath(Dir, S);
-    if (const auto &R = Shard.Scorer.routing()) {
-      if (Status W = writeRoutingFile(R->Router, R->Options, Path); !W.ok())
-        return W;
-      continue;
-    }
-    // Unrouted shard: sweep a stale sidecar so a later restore cannot
-    // pair it with contents it was not fitted on.
-    std::error_code Ec;
-    std::filesystem::remove(Path, Ec);
-  }
-  return Status();
-}
-
-Status IndexService::loadShardRouting(const std::string &Dir) {
-  for (size_t S = 0; S < Shards.size(); ++S) {
-    const std::string Path = shardRoutePath(Dir, S);
-    std::error_code Ec;
-    if (!std::filesystem::exists(Path, Ec))
-      continue;
-    Expected<RoutingCache> Route = readRoutingFile(Path);
-    if (!Route)
-      return Status::error(Route.message());
-    RoutingCache Loaded = Route.take();
-    ShardState &Shard = *Shards[S];
-    std::lock_guard<std::mutex> Lock(Shard.WriterMutex);
-    ShardWriter &W = Shard.Writer;
-    if (W.Routing) {
-      // The shard is already routed (typically embedded arenas from a
-      // v4 flat image). A sidecar carrying the same fit is a harmless
-      // leftover of the pre-image layout — keep the embedded tier and
-      // skip the posting rebuild. A *disagreeing* sidecar means two
-      // generations of routing point at the same shard; refuse rather
-      // than silently pick one.
-      if (Loaded.Router.numProfiles() == W.Routing->Router.numProfiles() &&
-          Loaded.Router.assignments() == W.Routing->Router.assignments())
-        continue;
-      return Status::error("shard " + std::to_string(S) +
-                           " carries embedded routing that disagrees with "
-                           "sidecar '" + Path +
-                           "'; remove the stale sidecar or re-save");
-    }
-    if (W.Sealed.empty() || Loaded.Router.numProfiles() != W.Sealed[0]->size())
-      return Status::error("routing sidecar '" + Path +
-                           "' does not match shard " + std::to_string(S) +
-                           "'s first segment");
-    W.Routing =
-        detail::IndexRouting::restore(std::move(Loaded), W.Sealed[0]->Store);
-    W.RoutedSegment = W.Sealed[0];
-    publishLocked(Shard, Options.SealThreshold);
-  }
-  return Status();
-}
-
-//===----------------------------------------------------------------------===//
 // Service: bulk import/export
 //===----------------------------------------------------------------------===//
 
@@ -554,26 +481,6 @@ IndexService::fromShardCaches(std::vector<ProfileStoreCache> Caches,
                              "'s embedded routing does not match its "
                              "profile count");
       W.Routing = detail::IndexRouting::alias(std::move(A), Seg->Store);
-      W.RoutedSegment = Seg;
-    } else if (!Caches[S].RouteBlob.empty()) {
-      // Legacy carrier: the opaque "KASTRTNG" sidecar bytes (the ROUTE
-      // section of a sectionless-v3 flat image) restore exactly as
-      // loadShardRouting does from a "shard-NNN.route" file — the
-      // fitted router comes off the wire, and the inverted index
-      // rebuilds deterministically. The quantized shortlist store
-      // reuses the image's sidecar when the store carries one
-      // (zero-copy) instead of requantizing.
-      std::istringstream In(Caches[S].RouteBlob);
-      Expected<RoutingCache> Route = readRouting(In);
-      if (!Route)
-        return Result::error("shard cache " + std::to_string(S) +
-                             ": " + Route.message());
-      RoutingCache Loaded = Route.take();
-      if (Loaded.Router.numProfiles() != Seg->size())
-        return Result::error("shard cache " + std::to_string(S) +
-                             "'s embedded routing sidecar does not match its "
-                             "profile count");
-      W.Routing = detail::IndexRouting::restore(std::move(Loaded), Seg->Store);
       W.RoutedSegment = Seg;
     }
     std::lock_guard<std::mutex> Lock(Service.Shards[S]->WriterMutex);

@@ -47,7 +47,7 @@
 #ifndef KAST_INDEX_INDEXSERVICE_H
 #define KAST_INDEX_INDEXSERVICE_H
 
-#include "core/ProfileSerializer.h"
+#include "core/FlatImage.h"
 #include "core/ProfileStore.h"
 #include "core/StringColumn.h"
 #include "index/ProfileIndex.h"
@@ -223,11 +223,12 @@ public:
   static IndexService fromIndex(const ProfileIndex &Index,
                                 IndexServiceOptions Options = {});
 
-  /// Restarts a service from sharded v2 caches (workloads/CorpusIO's
-  /// loadShardedProfileCaches): each cache becomes one shard, adopted
-  /// wholesale by arena move. The shard count is taken from the cache
-  /// list (Options.Shards is ignored); all caches must agree on the
-  /// kernel name. Caches written by toShardCaches() restore the exact
+  /// Restarts a service from sharded flat images (workloads/CorpusIO's
+  /// loadShardedProfileImages): each cache becomes one shard, adopted
+  /// wholesale by arena move, and a cache carrying routing arenas
+  /// restores its routed tier by view (no refit, no posting rebuild).
+  /// The shard count is taken from the cache list (Options.Shards is
+  /// ignored); all caches must agree on the kernel name. Caches written by toShardCaches() restore the exact
   /// name-hash routing they were saved with; a layout with off-route
   /// entries still restores, but remove() downgrades to sweeping
   /// every shard (see remove()).
@@ -282,20 +283,6 @@ public:
   /// True if any published shard currently carries applicable routing.
   bool routed() const { return snapshot().routedShardCount() > 0; }
 
-  /// Persists each routed shard's router as "<Dir>/shard-NNN.route"
-  /// beside the v2 caches toShardCaches/CorpusIO write there, and
-  /// removes stale .route files of unrouted shards. Load order at
-  /// restart: fromShardCaches(loadShardedProfileCaches(Dir)), then
-  /// loadShardRouting(Dir).
-  Status saveShardRouting(const std::string &Dir) const;
-
-  /// Restores per-shard routing written by saveShardRouting: posting
-  /// lists are rebuilt deterministically from the persisted
-  /// assignments. Shards without a .route file stay unrouted; a
-  /// sidecar that does not match the shard's published first segment
-  /// (wrong entry count) fails loudly.
-  Status loadShardRouting(const std::string &Dir);
-
   /// The current published state; never blocks on writers.
   IndexSnapshot snapshot() const;
 
@@ -331,7 +318,7 @@ public:
 
   /// Exports the published state as one compacted ProfileStoreCache
   /// per shard (tombstoned entries dropped), ready for
-  /// workloads/CorpusIO's writeShardedProfileCaches.
+  /// workloads/CorpusIO's writeShardedProfileImages.
   std::vector<ProfileStoreCache> toShardCaches() const;
 
 private:

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <filesystem>
 
 using namespace kast;
 
@@ -33,13 +32,6 @@ ProfileIndex ProfileIndex::build(const ProfiledStringKernel &Kernel,
   return Index;
 }
 
-ProfileIndex ProfileIndex::fromCache(ProfileCache Cache) {
-  ProfileIndex Index(std::move(Cache.KernelName));
-  for (ProfileRecord &R : Cache.Records)
-    Index.add(std::move(R.Name), std::move(R.Label), R.Profile);
-  return Index;
-}
-
 ProfileIndex ProfileIndex::fromStoreCache(ProfileStoreCache Cache) {
   ProfileIndex Index(std::move(Cache.KernelName));
   // The cache's columns may be lazy views over a mapped image;
@@ -48,6 +40,14 @@ ProfileIndex ProfileIndex::fromStoreCache(ProfileStoreCache Cache) {
   Index.Names = Cache.Names.takeVector();
   Index.Labels = Cache.Labels.takeVector();
   Index.Store = std::move(Cache.Store);
+  if (Cache.Routing) {
+    Index.Routing =
+        detail::IndexRouting::alias(std::move(Cache.Routing), Index.Store);
+    // As in buildRouting, the quantized sidecar hangs on the index's
+    // own store; alias built one when the image carried none.
+    if (Index.Routing->Quant && !Index.Store.quantized())
+      Index.Store.adoptQuantized(Index.Routing->Quant);
+  }
   return Index;
 }
 
@@ -125,51 +125,17 @@ ProfileIndex::majorityLabel(const std::vector<Neighbor> &Neighbors) const {
       [&](size_t I) -> const std::string & { return Labels[Neighbors[I].Index]; });
 }
 
-ProfileCache ProfileIndex::toCache() const {
-  ProfileCache Cache;
-  Cache.KernelName = KernelName;
-  Cache.Records.reserve(size());
-  for (size_t I = 0; I < size(); ++I)
-    Cache.Records.push_back({Names[I], Labels[I], Store.materialize(I)});
-  return Cache;
-}
-
 Status ProfileIndex::save(const std::string &Path) const {
-  // v2 block layout straight from the arena: the three arrays go out
-  // as contiguous blobs, no per-profile materialization or copy.
-  Status S = writeProfileStoreCacheFile(KernelName, Names, Labels, Store, Path);
-  if (!S.ok())
-    return S;
-  const std::string RoutePath = Path + ".route";
+  std::shared_ptr<const RoutingArenas> Arenas;
   if (Routing)
-    return writeRoutingFile(Routing->Router, Routing->Options, RoutePath);
-  // No routing: drop any stale sidecar so a later load cannot pair it
-  // with contents it was not fitted on.
-  std::error_code Ec;
-  std::filesystem::remove(RoutePath, Ec);
-  return Status();
+    Arenas = detail::IndexRouting::toArenas(Routing);
+  return writeProfileStoreImageFile(KernelName, Names, Labels, Store, Path,
+                                    Arenas.get());
 }
 
 Expected<ProfileIndex> ProfileIndex::load(const std::string &Path) {
-  Expected<ProfileStoreCache> Cache = readProfileStoreCacheFile(Path);
+  Expected<ProfileStoreCache> Cache = readProfileStoreImageFile(Path);
   if (!Cache)
     return Expected<ProfileIndex>::error(Cache.message());
-  ProfileIndex Index = fromStoreCache(Cache.take());
-  const std::string RoutePath = Path + ".route";
-  std::error_code Ec;
-  if (!std::filesystem::exists(RoutePath, Ec))
-    return Index;
-  Expected<RoutingCache> Route = readRoutingFile(RoutePath);
-  if (!Route)
-    return Expected<ProfileIndex>::error(Route.message());
-  RoutingCache Loaded = Route.take();
-  if (Loaded.Router.numProfiles() > Index.size())
-    return Expected<ProfileIndex>::error(
-        "routing sidecar covers more profiles than the cache: " + RoutePath);
-  // Only the router is ever serialized; the posting lists and the
-  // quantized sidecar are pure functions of the arena and rebuild.
-  if (detail::IndexRouting::wantsQuantized(Loaded.Options))
-    Index.Store.buildQuantized();
-  Index.Routing = detail::IndexRouting::restore(std::move(Loaded), Index.Store);
-  return Index;
+  return fromStoreCache(Cache.take());
 }

@@ -16,18 +16,18 @@
 /// routed candidate → shortlist → exact re-rank path, and the batch
 /// forms stride queries across workers with one scratch per worker.
 ///
-/// Indexes round-trip through the versioned binary profile cache
-/// (core/ProfileSerializer; saved in the v2 block format, v1 caches
-/// still load), so a served corpus profiles each trace exactly once —
-/// build, save(), and every later process load()s and queries without
-/// touching a kernel.
+/// Indexes round-trip through a flat image (core/FlatImage), routing
+/// tier included, so a served corpus profiles each trace exactly once
+/// — build, save(), and every later process load()s and queries
+/// without touching a kernel, refitting k-means or rebuilding posting
+/// lists.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef KAST_INDEX_PROFILEINDEX_H
 #define KAST_INDEX_PROFILEINDEX_H
 
-#include "core/ProfileSerializer.h"
+#include "core/FlatImage.h"
 #include "core/ProfileStore.h"
 #include "core/StringKernel.h"
 #include "index/SegmentScorer.h"
@@ -94,11 +94,11 @@ public:
                             const std::vector<std::string> &Labels = {},
                             size_t Threads = 0);
 
-  /// Adopts an in-memory record-wise profile cache.
-  static ProfileIndex fromCache(ProfileCache Cache);
-
-  /// Adopts an in-memory arena cache (the v2 load path: the store
-  /// moves in wholesale, no per-profile copying).
+  /// Adopts an in-memory arena cache: the store moves in wholesale (a
+  /// mapped store stays mapped until the first add()), and
+  /// Cache.Routing, when present, becomes the routing tier by view —
+  /// no k-means fit, no posting rebuild. Cache.Routing must cover at
+  /// most Cache.Store.size() profiles, as every image read guarantees.
   static ProfileIndex fromStoreCache(ProfileStoreCache Cache);
 
   /// Appends one finalized profile (copied into the arena).
@@ -189,16 +189,13 @@ public:
   /// the nearer neighbor. Empty for an empty neighbor list.
   std::string majorityLabel(const std::vector<Neighbor> &Neighbors) const;
 
-  /// Copies the index contents into a record-wise cache.
-  ProfileCache toCache() const;
-
-  /// Round-trip through core/ProfileSerializer's binary format: save
-  /// writes the v2 block layout straight from the arena; load accepts
-  /// v1 and v2 files. A routed index also writes a "<path>.route"
-  /// sidecar (and removes a stale one when unrouted); load restores
-  /// routing from the sidecar when present — the posting lists are
-  /// rebuilt deterministically from the persisted assignments — and
-  /// fails loudly on a corrupt or mismatched sidecar.
+  /// Round-trip through a flat image (core/FlatImage): save writes the
+  /// arena, names and labels, the store's quantized sidecar when built,
+  /// and — for a routed index — the routing tier as version-4 arena
+  /// sections covering the routed prefix (an unrouted tail stays
+  /// unrouted). The write is staged and renamed into place, so saving
+  /// over the image this index was loaded from is safe. load maps the
+  /// image and adopts it through fromStoreCache.
   Status save(const std::string &Path) const;
   static Expected<ProfileIndex> load(const std::string &Path);
 

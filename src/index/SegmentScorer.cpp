@@ -50,18 +50,9 @@ static void mapOptionFields(OptionsT &O, ArenasT &A, CopyFn Copy) {
 std::shared_ptr<const IndexRouting>
 IndexRouting::fit(const ProfileStore &Store, const RoutingOptions &Options,
                   size_t Threads) {
-  return restore({ClusterRouter::build(Store, Options.Cluster, Threads),
-                  Options},
-                 Store);
-}
-
-std::shared_ptr<const IndexRouting>
-IndexRouting::restore(RoutingCache Cache, const ProfileStore &Store) {
-  assert(Cache.Router.numProfiles() <= Store.size() &&
-         "routing covers more profiles than the arena holds");
   auto R = std::make_shared<IndexRouting>();
-  R->Options = Cache.Options;
-  R->Router = std::move(Cache.Router);
+  R->Options = Options;
+  R->Router = ClusterRouter::build(Store, Options.Cluster, Threads);
   R->Inverted = InvertedIndex::build(Store, R->Router.assignments(),
                                      R->Router.numCentroids(),
                                      R->Options.MaxDocFrequency);

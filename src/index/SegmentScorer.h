@@ -41,7 +41,7 @@
 #ifndef KAST_INDEX_SEGMENTSCORER_H
 #define KAST_INDEX_SEGMENTSCORER_H
 
-#include "core/ProfileSerializer.h"
+#include "core/FlatImage.h"
 #include "core/ProfileStore.h"
 #include "index/ClusterRouter.h"
 #include "index/InvertedIndex.h"
@@ -70,7 +70,7 @@ namespace detail {
 /// The immutable routing tier over a prefix of one arena: router,
 /// posting lists, and the options both were built with. Shared by
 /// pointer, so copied indexes and snapshots alias one fit. Built only
-/// through the three constructors below, which all take the quantized
+/// through the two constructors below, which both take the quantized
 /// sidecar from \p Store when it has one and otherwise build a
 /// standalone one (when the options ask for a quantized shortlist).
 struct IndexRouting {
@@ -93,13 +93,6 @@ struct IndexRouting {
   static std::shared_ptr<const IndexRouting>
   fit(const ProfileStore &Store, const RoutingOptions &Options,
       size_t Threads);
-
-  /// Restores a persisted router (".route" sidecar or v3 RouteBlob)
-  /// over the arena it was fitted on; the posting lists, a pure
-  /// function of (arena prefix, assignments, df threshold), rebuild
-  /// exactly. The caller has checked the router's coverage.
-  static std::shared_ptr<const IndexRouting> restore(RoutingCache Cache,
-                                                     const ProfileStore &Store);
 
   /// Aliases flat routing arenas (v4 image sections or a toArenas
   /// export): no refit, no posting rebuild; the result keeps \p Arenas

@@ -1,4 +1,4 @@
-//===- tests/FlatImageTest.cpp - v3 flat-image cache format ----------------===//
+//===- tests/FlatImageTest.cpp - Flat-image profile cache format -----------===//
 //
 // Part of KAST, under the MIT License.
 //
@@ -6,17 +6,17 @@
 //
 // The zero-copy persistence contract of core/FlatImage: a flat image
 // round-trips a ProfileStoreCache bit-exactly whether it is mmapped or
-// read through the buffered fallback, the mapping survives unlink and
-// writer mutation (copy-on-write promotion), the quantized and routing
-// sidecars ride along, and every corruption mode — truncation, flipped
-// section bytes, a tampered section table, a wrong kernel hash, a
-// misaligned section — fails loudly with a diagnostic naming the
-// problem instead of serving garbage.
+// read through the buffered fallback, the mapping survives unlink,
+// writer mutation (copy-on-write promotion) and a rewrite of its own
+// path, the quantized and routing sidecars ride along, and every
+// corruption mode — truncation, flipped section bytes, a tampered
+// section table, a wrong kernel hash, a misaligned section, a retired
+// section id, foreign magic — fails loudly with a diagnostic naming
+// the problem instead of serving garbage.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/FlatImage.h"
-#include "core/ProfileSerializer.h"
 #include "core/ProfileStore.h"
 #include "index/IndexService.h"
 #include "kernels/SpectrumKernels.h"
@@ -153,7 +153,7 @@ TEST(FlatImageTest, RoundTripsStoreBitExactly) {
   EXPECT_EQ(Loaded->KernelName, "blended");
   EXPECT_EQ(Loaded->Names, Cache.Names);
   EXPECT_EQ(Loaded->Labels, Cache.Labels);
-  EXPECT_TRUE(Loaded->RouteBlob.empty());
+  EXPECT_EQ(Loaded->Routing, nullptr);
   expectStoresBitExact(Loaded->Store, Cache.Store);
   EXPECT_TRUE(Loaded->Store.isFinalized());
 
@@ -191,10 +191,22 @@ TEST(FlatImageTest, BufferedFallbackMatchesMappedRead) {
 
 TEST(FlatImageTest, QuantizedAndRoutingSidecarsRideAlong) {
   Rng R(90909);
-  ProfileStoreCache Cache = makeStoreCache(R, 15, "k");
-  Cache.Store.buildQuantized();
+  ProfileStoreCache Corpus = makeStoreCache(R, 15, "k");
+  // A routed shard with a quantized shortlist exports both sidecars:
+  // the int8 codes hang on the store, the routing rides as arenas.
+  IndexService Service(Corpus.KernelName, {.Shards = 1});
+  for (size_t I = 0; I < Corpus.Store.size(); ++I)
+    Service.add(Corpus.Names.str(I), Corpus.Labels.str(I),
+                Corpus.Store.materialize(I));
+  RoutingOptions Route;
+  Route.Cluster.NumCentroids = 3;
+  Route.RerankBudget = 6;
+  Route.QuantizedShortlist = true;
+  Service.rebuildRouting(Route, 1);
+  std::vector<ProfileStoreCache> Exported = Service.toShardCaches();
+  const ProfileStoreCache &Cache = Exported[0];
   ASSERT_NE(Cache.Store.quantized(), nullptr);
-  Cache.RouteBlob = std::string("opaque\0route\xFF bytes", 19);
+  ASSERT_NE(Cache.Routing, nullptr);
   const std::string Path = tempImagePath("sidecars");
   ASSERT_TRUE(writeProfileStoreImageFile(Cache, Path).ok());
 
@@ -202,7 +214,11 @@ TEST(FlatImageTest, QuantizedAndRoutingSidecarsRideAlong) {
   Deep.DeepValidate = true;
   Expected<ProfileStoreCache> Loaded = readProfileStoreImageFile(Path, Deep);
   ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
-  EXPECT_EQ(Loaded->RouteBlob, Cache.RouteBlob);
+  ASSERT_NE(Loaded->Routing, nullptr);
+  EXPECT_EQ(Loaded->Routing->Covered, Cache.Routing->Covered);
+  EXPECT_EQ(Loaded->Routing->Assignments, Cache.Routing->Assignments);
+  EXPECT_EQ(Loaded->Routing->RerankBudget, 6u);
+  EXPECT_TRUE(Loaded->Routing->QuantizedShortlist);
   const QuantizedStore *Q = Loaded->Store.quantized();
   ASSERT_NE(Q, nullptr);
   const QuantizedStore *Truth = Cache.Store.quantized();
@@ -287,6 +303,55 @@ TEST(FlatImageTest, WriterPromotionLeavesTheImageUntouched) {
   ASSERT_TRUE(Again.hasValue()) << Again.message();
   EXPECT_EQ(Again->Store.size(), Cache.Store.size());
   expectStoresBitExact(Again->Store, Cache.Store);
+}
+
+TEST(FlatImageTest, RewritingAnImageFromItsOwnMappingIsSafe) {
+  Rng R(151617);
+  ProfileStoreCache Cache = makeStoreCache(R, 14, "k");
+  Cache.Store.buildQuantized();
+  const std::string Path = tempImagePath("rewrite_self");
+  ASSERT_TRUE(writeProfileStoreImageFile(Cache, Path).ok());
+  const std::string Before = readFileBytes(Path);
+
+  Expected<ProfileStoreCache> Loaded = readProfileStoreImageFile(Path);
+  ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
+  // The writer copies section bytes straight out of the store, which
+  // here aliases the very file being replaced: the write must not
+  // truncate that file before it has read it.
+  ASSERT_TRUE(writeProfileStoreImageFile(*Loaded, Path).ok());
+  EXPECT_FALSE(std::filesystem::exists(Path + ".tmp"));
+  EXPECT_EQ(readFileBytes(Path), Before);
+
+  FlatImageReadOptions Deep;
+  Deep.DeepValidate = true;
+  Expected<ProfileStoreCache> Again = readProfileStoreImageFile(Path, Deep);
+  ASSERT_TRUE(Again.hasValue()) << Again.message();
+  EXPECT_EQ(Again->Names, Cache.Names);
+  EXPECT_EQ(Again->Labels, Cache.Labels);
+  expectStoresBitExact(Again->Store, Cache.Store);
+  ASSERT_NE(Again->Store.quantized(), nullptr);
+  EXPECT_EQ(Again->Store.quantized()->values(),
+            Cache.Store.quantized()->values());
+  // The store loaded before the rewrite still reads the old inode.
+  expectStoresBitExact(Loaded->Store, Cache.Store);
+}
+
+TEST(FlatImageTest, WriterRejectsInconsistentColumnsAndKeepsTheOldImage) {
+  Rng R(505152);
+  ProfileStoreCache Cache = makeStoreCache(R, 6, "k");
+  const std::string Path = tempImagePath("writer_validation");
+  ASSERT_TRUE(writeProfileStoreImageFile(Cache, Path).ok());
+  const std::string Before = readFileBytes(Path);
+
+  // Name/label tables that disagree with the store are a writer-side
+  // error, not a corrupt file; the previous image stays in place.
+  ProfileStoreCache Bad = makeStoreCache(R, 6, "k");
+  Bad.Names = std::vector<std::string>{"only-one"};
+  Status S = writeProfileStoreImageFile(Bad, Path);
+  ASSERT_FALSE(S.ok());
+  EXPECT_NE(S.message().find("names"), std::string::npos) << S.message();
+  EXPECT_FALSE(std::filesystem::exists(Path + ".tmp"));
+  EXPECT_EQ(readFileBytes(Path), Before);
 }
 
 //===----------------------------------------------------------------------===//
@@ -417,8 +482,7 @@ TEST(FlatImageTest, RejectsCorruptCsrOffsets) {
   std::string Bad = readFileBytes(Path);
 
   // Break monotonicity of the offsets array and re-checksum the
-  // section so validateCsrOffsets (not the checksum) fires — the
-  // shared seam with the v2 reader.
+  // section so validateCsrOffsets (not the checksum) fires.
   const size_t Entry = findTableEntry(Bad, FlatSectionId::Offsets);
   ASSERT_NE(Entry, std::string::npos);
   const size_t Offset = static_cast<size_t>(readU64(Bad, Entry + 8));
@@ -433,26 +497,41 @@ TEST(FlatImageTest, RejectsCorruptCsrOffsets) {
 }
 
 TEST(FlatImageTest, FormatsRejectEachOtherWithPointers) {
-  Rng R(323334);
-  ProfileStoreCache Cache = makeStoreCache(R, 4, "k");
-  const std::string V2Path = testing::TempDir() + "/kast_cross.kpc";
-  const std::string V3Path = tempImagePath("cross");
-  ASSERT_TRUE(writeProfileStoreCacheFile(Cache, V2Path).ok());
-  ASSERT_TRUE(writeProfileStoreImageFile(Cache, V3Path).ok());
+  // A retired "KASTPROF" profile-cache header (magic, version 2,
+  // kernel-name length and bytes, zero counts), padded past the image
+  // header size so the magic check is what fires.
+  std::string Bytes = "KASTPROF";
+  Bytes += std::string("\x02\0\0\0", 4);
+  Bytes += std::string("\x01\0\0\0", 4) + "k";
+  Bytes += std::string(64, '\0');
+  const std::string Path = testing::TempDir() + "/kast_cross.kpc";
+  writeFileBytes(Path, Bytes);
 
-  // The flat-image reader names the v2 entry point for v2 bytes...
-  Expected<ProfileStoreCache> V2AsImage = readProfileStoreImageFile(V2Path);
-  ASSERT_FALSE(V2AsImage.hasValue());
-  EXPECT_NE(V2AsImage.message().find("readProfileStoreCacheFile"),
-            std::string::npos)
-      << V2AsImage.message();
-  // ...and the v2 reader names the flat-image entry point for v3
-  // bytes.
-  Expected<ProfileStoreCache> V3AsCache = readProfileStoreCacheFile(V3Path);
-  ASSERT_FALSE(V3AsCache.hasValue());
-  EXPECT_NE(V3AsCache.message().find("readProfileStoreImageFile"),
-            std::string::npos)
-      << V3AsCache.message();
+  Expected<ProfileStoreCache> E = readProfileStoreImageFile(Path);
+  ASSERT_FALSE(E.hasValue());
+  EXPECT_NE(E.message().find("not a flat image"), std::string::npos)
+      << E.message();
+  EXPECT_NE(E.message().find("magic"), std::string::npos) << E.message();
+}
+
+TEST(FlatImageTest, RejectsRetiredRouteSection) {
+  // Section id 11 carried an opaque routing blob in older v3 images;
+  // the reader refuses it with a diagnostic rather than ignoring
+  // routing the writer meant to persist.
+  Rng R(535455);
+  ProfileStoreCache Cache = makeStoreCache(R, 5, "k");
+  const std::string Path = tempImagePath("retired_route");
+  ASSERT_TRUE(writeProfileStoreImageFile(Cache, Path).ok());
+  std::string Bad = readFileBytes(Path);
+  const size_t Entry = findTableEntry(Bad, FlatSectionId::Labels);
+  ASSERT_NE(Entry, std::string::npos);
+  Bad[Entry] = static_cast<char>(FlatSectionId::RetiredRoute);
+  fixHeaderSum(Bad);
+  writeFileBytes(Path, Bad);
+  Expected<ProfileStoreCache> E = readProfileStoreImageFile(Path);
+  ASSERT_FALSE(E.hasValue());
+  EXPECT_NE(E.message().find("retired"), std::string::npos) << E.message();
+  EXPECT_NE(E.message().find("id 11"), std::string::npos) << E.message();
 }
 
 TEST(FlatImageTest, RejectsMissingFile) {
@@ -702,8 +781,8 @@ TEST(FlatImageTest, RoutedSectionsRejectedUnderVersionSkew) {
 
 TEST(FlatImageTest, SectionlessV3ImagesStillLoadUnrouted) {
   // An unrouted cache writes the bit-stable version-3 layout; opening
-  // it yields no routing arenas and the caller falls back to a
-  // rebuild (or stays unrouted) exactly as before v4 existed.
+  // it yields no routing arenas, so the restored collection is
+  // unrouted.
   Rng R(474849);
   ProfileStoreCache Cache = makeStoreCache(R, 10, "k");
   const std::string Path = tempImagePath("v3_fallback");

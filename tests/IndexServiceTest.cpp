@@ -7,7 +7,7 @@
 // The serving contract of index/IndexService: adds and removes publish
 // atomically and agree with ProfileIndex ground truth, snapshots are
 // immutable (they answer identically forever, through concurrent
-// writes and compactions), sharded caches restart a service bit-exactly,
+// writes and compactions), sharded flat images restart a service bit-exactly,
 // and the whole thing holds up under ASan/UBSan with writers and
 // readers interleaving freely.
 //
@@ -23,6 +23,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <thread>
 
 using namespace kast;
@@ -243,11 +244,15 @@ TEST(IndexServiceTest, ShardCachesRestartTheServiceBitExactly) {
   std::string Dir = testing::TempDir() + "/kast_service_restart";
   std::filesystem::remove_all(Dir);
   ASSERT_TRUE(
-      writeShardedProfileCaches(Service.toShardCaches(), Dir).ok());
+      writeShardedProfileImages(Service.toShardCaches(), Dir).ok());
 
   Expected<std::vector<ProfileStoreCache>> Caches =
-      loadShardedProfileCaches(Dir, kernel().name());
+      loadShardedProfileImages(Dir, kernel().name());
   ASSERT_TRUE(Caches.hasValue()) << Caches.message();
+  ASSERT_EQ(Caches->size(), Options.Shards);
+  // The restored stores view the images instead of copying them.
+  for (const ProfileStoreCache &Shard : *Caches)
+    EXPECT_TRUE(Shard.Store.isMapped());
   Expected<IndexService> Restored =
       IndexService::fromShardCaches(Caches.take());
   ASSERT_TRUE(Restored.hasValue()) << Restored.message();
@@ -313,13 +318,13 @@ TEST(IndexServiceTest, ResavingFewerShardsSweepsStaleCacheFiles) {
   std::string Dir = testing::TempDir() + "/kast_shard_resave";
   std::filesystem::remove_all(Dir);
   IndexService Wide = MakeService(3, 6);
-  ASSERT_TRUE(writeShardedProfileCaches(Wide.toShardCaches(), Dir).ok());
+  ASSERT_TRUE(writeShardedProfileImages(Wide.toShardCaches(), Dir).ok());
   IndexService Narrow = MakeService(2, 4);
-  ASSERT_TRUE(writeShardedProfileCaches(Narrow.toShardCaches(), Dir).ok());
+  ASSERT_TRUE(writeShardedProfileImages(Narrow.toShardCaches(), Dir).ok());
 
-  EXPECT_FALSE(std::filesystem::exists(Dir + "/shard-002.kpc"));
+  EXPECT_FALSE(std::filesystem::exists(Dir + "/shard-002.kfi"));
   Expected<std::vector<ProfileStoreCache>> Caches =
-      loadShardedProfileCaches(Dir, "k");
+      loadShardedProfileImages(Dir, "k");
   ASSERT_TRUE(Caches.hasValue()) << Caches.message();
   ASSERT_EQ(Caches->size(), 2u);
   Expected<IndexService> Restored =
@@ -329,7 +334,7 @@ TEST(IndexServiceTest, ResavingFewerShardsSweepsStaleCacheFiles) {
 }
 
 //===----------------------------------------------------------------------===//
-// v3 flat-image restart
+// Flat-image restart
 //===----------------------------------------------------------------------===//
 
 TEST(IndexServiceTest, V3ImagesRestartTheServiceBitExactly) {
@@ -342,35 +347,42 @@ TEST(IndexServiceTest, V3ImagesRestartTheServiceBitExactly) {
     Service.add(P.Names[I], P.Labels[I], P.Profiles[I]);
   ASSERT_EQ(Service.remove("s5"), 1u);
 
-  // The same export, persisted through both formats.
-  std::string V2Dir = testing::TempDir() + "/kast_restart_v2";
-  std::string V3Dir = testing::TempDir() + "/kast_restart_v3";
-  std::filesystem::remove_all(V2Dir);
-  std::filesystem::remove_all(V3Dir);
-  std::vector<ProfileStoreCache> Exported = Service.toShardCaches();
-  ASSERT_TRUE(writeShardedProfileCaches(Exported, V2Dir).ok());
-  ASSERT_TRUE(writeShardedProfileImages(Exported, V3Dir).ok());
+  // An unrouted service persists as version-3 images...
+  std::string Dir = testing::TempDir() + "/kast_restart_v3";
+  std::filesystem::remove_all(Dir);
+  ASSERT_TRUE(writeShardedProfileImages(Service.toShardCaches(), Dir).ok());
+  {
+    std::ifstream In(Dir + "/shard-000.kfi", std::ios::binary);
+    char Header[12] = {};
+    ASSERT_TRUE(In.read(Header, sizeof(Header)).good());
+    EXPECT_EQ(static_cast<unsigned char>(Header[8]), FlatImageVersion);
+  }
 
-  Expected<std::vector<ProfileStoreCache>> V2 =
-      loadShardedProfileCaches(V2Dir, kernel().name());
-  ASSERT_TRUE(V2.hasValue()) << V2.message();
-  Expected<std::vector<ProfileStoreCache>> V3 =
-      loadShardedProfileImages(V3Dir, kernel().name());
-  ASSERT_TRUE(V3.hasValue()) << V3.message();
+  // ...which restore through the mapped open and through the
+  // buffered, deep-validated fallback to the same answers.
+  Expected<std::vector<ProfileStoreCache>> Mapped =
+      loadShardedProfileImages(Dir, kernel().name());
+  ASSERT_TRUE(Mapped.hasValue()) << Mapped.message();
+  FlatImageReadOptions Buffered;
+  Buffered.ForceBuffered = true;
+  Buffered.DeepValidate = true;
+  Expected<std::vector<ProfileStoreCache>> Heap =
+      loadShardedProfileImages(Dir, kernel().name(), Buffered);
+  ASSERT_TRUE(Heap.hasValue()) << Heap.message();
 
-  Expected<IndexService> FromV2 = IndexService::fromShardCaches(V2.take());
-  ASSERT_TRUE(FromV2.hasValue()) << FromV2.message();
-  Expected<IndexService> FromV3 = IndexService::fromShardCaches(V3.take());
-  ASSERT_TRUE(FromV3.hasValue()) << FromV3.message();
+  Expected<IndexService> FromMapped =
+      IndexService::fromShardCaches(Mapped.take());
+  ASSERT_TRUE(FromMapped.hasValue()) << FromMapped.message();
+  Expected<IndexService> FromHeap = IndexService::fromShardCaches(Heap.take());
+  ASSERT_TRUE(FromHeap.hasValue()) << FromHeap.message();
+  EXPECT_EQ(FromMapped->snapshot().routedShardCount(), 0u);
 
-  // The mmap-restored service answers bit-identically to the v2
-  // restore and to the original.
-  EXPECT_EQ(FromV3->size(), Service.size());
+  EXPECT_EQ(FromMapped->size(), Service.size());
   NamedProfiles Q = makeProfiles(kernel(), 6, "q", 62);
   for (const KernelProfile &Query : Q.Profiles) {
     std::vector<ServiceHit> Truth = Service.query(Query, 6, true, 1);
-    EXPECT_EQ(FromV2->query(Query, 6, true, 1), Truth);
-    EXPECT_EQ(FromV3->query(Query, 6, true, 1), Truth);
+    EXPECT_EQ(FromMapped->query(Query, 6, true, 1), Truth);
+    EXPECT_EQ(FromHeap->query(Query, 6, true, 1), Truth);
   }
 }
 
@@ -392,7 +404,7 @@ TEST(IndexServiceTest, V3ImagesCarryRoutingAndSurviveWriters) {
   ASSERT_EQ(Service.snapshot().routedShardCount(), Options.Shards);
 
   // The export carries the routing tier as flat arena views and the
-  // quantized store — no separate "shard-NNN.route" files needed.
+  // quantized store, so each shard persists as one image.
   std::vector<ProfileStoreCache> Exported = Service.toShardCaches();
   for (const ProfileStoreCache &Cache : Exported) {
     ASSERT_NE(Cache.Routing, nullptr);

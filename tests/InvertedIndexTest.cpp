@@ -28,7 +28,6 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <filesystem>
 #include <set>
 
 using namespace kast;
@@ -306,55 +305,96 @@ TEST(InvertedIndexTest, AggressivePruningKeepsRecall) {
 }
 
 //===----------------------------------------------------------------------===//
-// Persistence: the sidecar restores the tier bit-for-bit
+// Persistence: the flat image restores the tier bit-for-bit
 //===----------------------------------------------------------------------===//
 
-TEST(InvertedIndexTest, SaveLoadRoundTripsRoutingSidecar) {
-  Rng R(7788);
-  auto Table = TokenTable::create();
-  std::vector<WeightedString> Corpus = randomCorpus(Table, R, 36, "c");
-  BlendedSpectrumKernel Kernel = testKernel();
-  ProfileIndex Index = ProfileIndex::build(Kernel, Corpus, {}, 1);
-  RoutingOptions Opts;
-  Opts.Cluster.NumCentroids = 6;
-  Opts.MaxDocFrequency = 0.5;
-  Opts.RerankBudget = 16;
-  Opts.DefaultNProbe = 3;
-  Index.buildRouting(Opts, 1);
+TEST(InvertedIndexTest, SaveLoadRoundTripsRoutingThroughTheImage) {
+  for (bool Quantized : {false, true}) {
+    SCOPED_TRACE(Quantized ? "quantized shortlist" : "partial-score shortlist");
+    Rng R(7788);
+    auto Table = TokenTable::create();
+    std::vector<WeightedString> Corpus = randomCorpus(Table, R, 44, "c");
+    BlendedSpectrumKernel Kernel = testKernel();
+    ProfileIndex Index = ProfileIndex::build(
+        Kernel, {Corpus.begin(), Corpus.begin() + 36}, {}, 1);
+    RoutingOptions Opts;
+    Opts.Cluster.NumCentroids = 6;
+    Opts.MaxDocFrequency = 0.5;
+    Opts.RerankBudget = 16;
+    Opts.DefaultNProbe = 3;
+    Opts.QuantizedShortlist = Quantized;
+    Index.buildRouting(Opts, 1);
+    // Entries added after the fit form an unrouted tail the image
+    // carries beside the routed prefix.
+    for (size_t I = 36; I < Corpus.size(); ++I)
+      Index.add(Corpus[I].name(), "", Kernel.profile(Corpus[I]));
+    ASSERT_EQ(Index.routedCount(), 36u);
 
-  const std::string Path = testing::TempDir() + "/kast_routed_index.kpc";
-  ASSERT_TRUE(Index.save(Path).ok());
-  ASSERT_TRUE(std::filesystem::exists(Path + ".route"));
+    const std::string Path =
+        testing::TempDir() + "/kast_routed_index_" +
+        (Quantized ? "q" : "p") + ".kfi";
+    ASSERT_TRUE(Index.save(Path).ok());
 
-  Expected<ProfileIndex> Loaded = ProfileIndex::load(Path);
-  ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
-  ASSERT_TRUE(Loaded->routed());
-  EXPECT_EQ(Loaded->routedCount(), Index.routedCount());
-  EXPECT_EQ(Loaded->router()->numCentroids(), Index.router()->numCentroids());
-  EXPECT_EQ(Loaded->router()->assignments(), Index.router()->assignments());
-  EXPECT_EQ(Loaded->routingOptions()->MaxDocFrequency, Opts.MaxDocFrequency);
-  EXPECT_EQ(Loaded->routingOptions()->RerankBudget, Opts.RerankBudget);
-  EXPECT_EQ(Loaded->routingOptions()->DefaultNProbe, Opts.DefaultNProbe);
+    const uint64_t Fits = kmeansFitCount();
+    const uint64_t Rebuilds = postingRebuildCount();
+    Expected<ProfileIndex> Loaded = ProfileIndex::load(Path);
+    ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
+    // The routing tier is viewed in the image: no k-means fit, no
+    // posting rebuild.
+    EXPECT_EQ(kmeansFitCount(), Fits);
+    EXPECT_EQ(postingRebuildCount(), Rebuilds);
+    EXPECT_TRUE(Loaded->store().isMapped());
+    ASSERT_TRUE(Loaded->routed());
+    ASSERT_EQ(Loaded->size(), Index.size());
+    EXPECT_EQ(Loaded->routedCount(), Index.routedCount());
+    EXPECT_EQ(Loaded->router()->numCentroids(), Index.router()->numCentroids());
+    EXPECT_EQ(Loaded->router()->assignments(), Index.router()->assignments());
+    EXPECT_EQ(Loaded->routingOptions()->MaxDocFrequency, Opts.MaxDocFrequency);
+    EXPECT_EQ(Loaded->routingOptions()->RerankBudget, Opts.RerankBudget);
+    EXPECT_EQ(Loaded->routingOptions()->DefaultNProbe, Opts.DefaultNProbe);
+    EXPECT_EQ(Loaded->routingOptions()->QuantizedShortlist, Quantized);
+    EXPECT_EQ(Loaded->store().quantized() != nullptr, Quantized);
 
-  // Same pruned-path answers (bitwise), same exhaustive answers.
-  for (size_t I = 0; I < Index.size(); I += 5) {
-    KernelProfile Q = Index.profile(I);
-    expectBitIdentical(Loaded->queryApprox(Q, 5), Index.queryApprox(Q, 5),
-                       "pruned reload " + std::to_string(I));
-    expectBitIdentical(Loaded->queryApprox(Q, 5, true, /*NProbe=*/
-                                           Loaded->router()->numCentroids()),
-                       Index.queryApprox(Q, 5, true,
-                                         Index.router()->numCentroids()),
-                       "exhaustive reload " + std::to_string(I));
+    // Same pruned-path answers (bitwise), same exhaustive answers, for
+    // queries drawn from the routed prefix and the unrouted tail.
+    for (size_t I = 0; I < Index.size(); I += 5) {
+      KernelProfile Q = Index.profile(I);
+      expectBitIdentical(Loaded->queryApprox(Q, 5), Index.queryApprox(Q, 5),
+                         "pruned reload " + std::to_string(I));
+      expectBitIdentical(Loaded->queryApprox(Q, 5, true, /*NProbe=*/
+                                             Loaded->router()->numCentroids()),
+                         Index.queryApprox(Q, 5, true,
+                                           Index.router()->numCentroids()),
+                         "exhaustive reload " + std::to_string(I));
+    }
+    EXPECT_EQ(kmeansFitCount(), Fits);
+    EXPECT_EQ(postingRebuildCount(), Rebuilds);
+
+    // Growing the mapped index promotes its store; saving it back over
+    // the image it was loaded from keeps the routing and the answers.
+    ProfileIndex Grown = Loaded.take();
+    Grown.add("extra", "", Index.profile(3));
+    EXPECT_FALSE(Grown.store().isMapped());
+    ASSERT_TRUE(Grown.save(Path).ok());
+    Expected<ProfileIndex> Resaved = ProfileIndex::load(Path);
+    ASSERT_TRUE(Resaved.hasValue()) << Resaved.message();
+    ASSERT_EQ(Resaved->size(), Index.size() + 1);
+    EXPECT_EQ(Resaved->routedCount(), Index.routedCount());
+    for (size_t I = 0; I < Grown.size(); I += 7) {
+      KernelProfile Q = Grown.profile(I);
+      expectBitIdentical(Resaved->queryApprox(Q, 5), Grown.queryApprox(Q, 5),
+                         "resaved " + std::to_string(I));
+    }
+    EXPECT_EQ(kmeansFitCount(), Fits);
+    EXPECT_EQ(postingRebuildCount(), Rebuilds);
+
+    // Saving the index unrouted writes an image without routing.
+    Index.clearRouting();
+    ASSERT_TRUE(Index.save(Path).ok());
+    Expected<ProfileIndex> Unrouted = ProfileIndex::load(Path);
+    ASSERT_TRUE(Unrouted.hasValue()) << Unrouted.message();
+    EXPECT_FALSE(Unrouted->routed());
   }
-
-  // Saving the index unrouted sweeps the stale sidecar.
-  Index.clearRouting();
-  ASSERT_TRUE(Index.save(Path).ok());
-  EXPECT_FALSE(std::filesystem::exists(Path + ".route"));
-  Expected<ProfileIndex> Unrouted = ProfileIndex::load(Path);
-  ASSERT_TRUE(Unrouted.hasValue()) << Unrouted.message();
-  EXPECT_FALSE(Unrouted->routed());
 }
 
 //===----------------------------------------------------------------------===//
@@ -469,19 +509,19 @@ TEST(InvertedIndexTest, ServiceRoutingPersistsAcrossRestart) {
   Service.rebuildRouting(Opts, 1);
 
   const std::string Dir = testing::TempDir() + "/kast_svc_routing";
-  std::filesystem::create_directories(Dir);
-  ASSERT_TRUE(writeShardedProfileCaches(Service.toShardCaches(), Dir).ok());
-  ASSERT_TRUE(Service.saveShardRouting(Dir).ok());
+  ASSERT_TRUE(writeShardedProfileImages(Service.toShardCaches(), Dir).ok());
 
+  const uint64_t Fits = kmeansFitCount();
+  const uint64_t Rebuilds = postingRebuildCount();
   Expected<std::vector<ProfileStoreCache>> Caches =
-      loadShardedProfileCaches(Dir);
+      loadShardedProfileImages(Dir);
   ASSERT_TRUE(Caches.hasValue()) << Caches.message();
   Expected<IndexService> Restored =
       IndexService::fromShardCaches(Caches.take(), SvcOpts);
   ASSERT_TRUE(Restored.hasValue()) << Restored.message();
-  Status L = Restored->loadShardRouting(Dir);
-  ASSERT_TRUE(L.ok()) << L.message();
   EXPECT_EQ(Restored->snapshot().routedShardCount(), SvcOpts.Shards);
+  EXPECT_EQ(kmeansFitCount(), Fits);
+  EXPECT_EQ(postingRebuildCount(), Rebuilds);
 
   for (size_t I = 0; I < Corpus.size(); I += 6) {
     KernelProfile Q = Kernel.profile(Corpus[I]);
@@ -490,113 +530,25 @@ TEST(InvertedIndexTest, ServiceRoutingPersistsAcrossRestart) {
                            "restored pruned " + std::to_string(I));
   }
 
-  // A sidecar paired with the wrong contents fails loudly: drop one
-  // entry and re-save the caches but not the routing.
+  // Routing never outlives the contents it was fitted on: compaction
+  // drops the fit, and a re-save over the routed images writes
+  // unrouted ones that restore unrouted (and still answer exactly).
   ASSERT_GT(Restored->remove(Corpus[1].name()), 0u);
   Restored->compact(1);
   ASSERT_TRUE(
-      writeShardedProfileCaches(Restored->toShardCaches(), Dir).ok());
-  Expected<std::vector<ProfileStoreCache>> Stale =
-      loadShardedProfileCaches(Dir);
-  ASSERT_TRUE(Stale.hasValue()) << Stale.message();
-  Expected<IndexService> Mismatch =
-      IndexService::fromShardCaches(Stale.take(), SvcOpts);
-  ASSERT_TRUE(Mismatch.hasValue()) << Mismatch.message();
-  Status Bad = Mismatch->loadShardRouting(Dir);
-  ASSERT_FALSE(Bad.ok());
-  EXPECT_NE(Bad.message().find("does not match"), std::string::npos)
-      << Bad.message();
-}
-
-TEST(InvertedIndexTest, ImageSaveSweepsStaleRouteSidecars) {
-  Rng R(7272);
-  auto Table = TokenTable::create();
-  std::vector<WeightedString> Corpus = randomCorpus(Table, R, 40, "c");
-  BlendedSpectrumKernel Kernel = testKernel();
-  IndexServiceOptions SvcOpts;
-  SvcOpts.Shards = 2;
-  IndexService Service =
-      IndexService::fromIndex(ProfileIndex::build(Kernel, Corpus, {}, 1),
-                              SvcOpts);
-  RoutingOptions Opts;
-  Opts.Cluster.NumCentroids = 3;
-  Service.rebuildRouting(Opts, 1);
-
-  const std::string Dir = testing::TempDir() + "/kast_route_sweep";
-  std::filesystem::create_directories(Dir);
-  ASSERT_TRUE(Service.saveShardRouting(Dir).ok());
-  ASSERT_TRUE(std::filesystem::exists(Dir + "/shard-000.route"));
-  ASSERT_TRUE(std::filesystem::exists(Dir + "/shard-001.route"));
-
-  // A v3 image save embeds routing as sections; the now-redundant
-  // sidecars would otherwise linger and bite a later restore whose
-  // contents drifted. The save sweeps them.
-  ASSERT_TRUE(writeShardedProfileImages(Service.toShardCaches(), Dir).ok());
-  EXPECT_FALSE(std::filesystem::exists(Dir + "/shard-000.route"));
-  EXPECT_FALSE(std::filesystem::exists(Dir + "/shard-001.route"));
-
-  // The swept directory restores routed from the images alone.
-  Expected<std::vector<ProfileStoreCache>> Caches =
+      writeShardedProfileImages(Restored->toShardCaches(), Dir).ok());
+  Expected<std::vector<ProfileStoreCache>> Resaved =
       loadShardedProfileImages(Dir);
-  ASSERT_TRUE(Caches.hasValue()) << Caches.message();
-  Expected<IndexService> Restored =
-      IndexService::fromShardCaches(Caches.take(), SvcOpts);
-  ASSERT_TRUE(Restored.hasValue()) << Restored.message();
-  EXPECT_EQ(Restored->snapshot().routedShardCount(), SvcOpts.Shards);
-}
-
-TEST(InvertedIndexTest, EmbeddedRoutingToleratesAgreeingSidecarOnly) {
-  Rng R(7373);
-  auto Table = TokenTable::create();
-  std::vector<WeightedString> Corpus = randomCorpus(Table, R, 40, "c");
-  BlendedSpectrumKernel Kernel = testKernel();
-  IndexServiceOptions SvcOpts;
-  SvcOpts.Shards = 2;
-  IndexService Service =
-      IndexService::fromIndex(ProfileIndex::build(Kernel, Corpus, {}, 1),
-                              SvcOpts);
-  RoutingOptions Opts;
-  Opts.Cluster.NumCentroids = 3;
-  Service.rebuildRouting(Opts, 1);
-
-  const std::string Dir = testing::TempDir() + "/kast_route_agree";
-  std::filesystem::create_directories(Dir);
-  ASSERT_TRUE(writeShardedProfileImages(Service.toShardCaches(), Dir).ok());
-
-  auto restore = [&]() {
-    Expected<std::vector<ProfileStoreCache>> Caches =
-        loadShardedProfileImages(Dir);
-    EXPECT_TRUE(Caches.hasValue()) << Caches.message();
-    Expected<IndexService> Restored =
-        IndexService::fromShardCaches(Caches.take(), SvcOpts);
-    EXPECT_TRUE(Restored.hasValue()) << Restored.message();
-    return Restored.take();
-  };
-
-  // An agreeing sidecar beside an embedded-routing image is a no-op:
-  // loadShardRouting recognises the match and rebuilds nothing.
-  IndexService Restored = restore();
-  ASSERT_EQ(Restored.snapshot().routedShardCount(), SvcOpts.Shards);
-  ASSERT_TRUE(Service.saveShardRouting(Dir).ok());
-  const uint64_t Rebuilds = postingRebuildCount();
-  Status Agree = Restored.loadShardRouting(Dir);
-  EXPECT_TRUE(Agree.ok()) << Agree.message();
-  EXPECT_EQ(postingRebuildCount(), Rebuilds);
-  EXPECT_EQ(Restored.snapshot().routedShardCount(), SvcOpts.Shards);
-
-  // A *disagreeing* sidecar (a different fit left behind by another
-  // run) fails loudly instead of silently shadowing the embedded
-  // arenas.
-  IndexService Refit = restore();
-  RoutingOptions Other;
-  Other.Cluster.NumCentroids = 2;
-  Refit.rebuildRouting(Other, 1);
-  ASSERT_TRUE(Refit.saveShardRouting(Dir).ok());
-  IndexService Victim = restore();
-  Status Clash = Victim.loadShardRouting(Dir);
-  ASSERT_FALSE(Clash.ok());
-  EXPECT_NE(Clash.message().find("disagrees"), std::string::npos)
-      << Clash.message();
+  ASSERT_TRUE(Resaved.hasValue()) << Resaved.message();
+  for (const ProfileStoreCache &Shard : *Resaved)
+    EXPECT_EQ(Shard.Routing, nullptr);
+  Expected<IndexService> Unrouted =
+      IndexService::fromShardCaches(Resaved.take(), SvcOpts);
+  ASSERT_TRUE(Unrouted.hasValue()) << Unrouted.message();
+  EXPECT_EQ(Unrouted->snapshot().routedShardCount(), 0u);
+  KernelProfile Q = Kernel.profile(Corpus[2]);
+  expectHitsBitIdentical(Unrouted->query(Q, 5, true, 1),
+                         Restored->query(Q, 5, true, 1), "after re-save");
 }
 
 //===----------------------------------------------------------------------===//

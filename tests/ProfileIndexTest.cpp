@@ -1,31 +1,26 @@
-//===- tests/ProfileIndexTest.cpp - profile cache and retrieval ------------===//
+//===- tests/ProfileIndexTest.cpp - profile index and retrieval ------------===//
 //
 // Part of KAST, under the MIT License.
 //
 //===----------------------------------------------------------------------===//
 //
-// The persistence contract of the retrieval subsystem: profiles written
-// through core/ProfileSerializer reload bit-exactly (hashes, value bit
-// patterns, and therefore every dot product), malformed caches fail
-// with diagnostics instead of garbage similarities, and ProfileIndex
-// queries agree with the Gram-matrix ground truth produced by
-// computeKernelMatrix over the same kernel.
+// The retrieval contract of ProfileIndex: queries agree with the
+// Gram-matrix ground truth produced by computeKernelMatrix over the
+// same kernel, batches agree with single queries at any thread count,
+// and an index saved as a flat image reloads bit-exactly (names,
+// labels, norms, and therefore every answer).
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/KernelMatrix.h"
-#include "core/ProfileSerializer.h"
 #include "index/ProfileIndex.h"
 #include "kernels/SpectrumKernels.h"
 #include "util/Rng.h"
-#include "workloads/CorpusIO.h"
-#include "workloads/DatasetBuilder.h"
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <fstream>
-#include <sstream>
 
 using namespace kast;
 
@@ -59,116 +54,6 @@ void expectBitExact(const KernelProfile &A, const KernelProfile &B) {
     EXPECT_EQ(std::bit_cast<uint64_t>(A.entries()[I].Value),
               std::bit_cast<uint64_t>(B.entries()[I].Value))
         << "entry " << I;
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Serializer: bit-exact round-trips, versioning, corruption
-//===----------------------------------------------------------------------===//
-
-TEST(ProfileSerializerTest, RoundTripsBitExactAgainstFreshProfiles) {
-  Rng R(90210);
-  auto Table = TokenTable::create();
-  std::vector<WeightedString> Corpus = randomCorpus(Table, R, 24, "s");
-  BlendedSpectrumKernel Kernel(3, 0.8, /*Weighted=*/true, /*CutWeight=*/2);
-
-  ProfileCache Cache;
-  Cache.KernelName = Kernel.name();
-  for (const WeightedString &S : Corpus)
-    Cache.Records.push_back({S.name(), "L", Kernel.profile(S)});
-
-  std::string Path = testing::TempDir() + "/kast_profiles_rt.kpc";
-  Status W = writeProfileCacheFile(Cache, Path);
-  ASSERT_TRUE(W.ok()) << W.message();
-  Expected<ProfileCache> Loaded = readProfileCacheFile(Path);
-  ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
-
-  ASSERT_EQ(Loaded->Records.size(), Corpus.size());
-  EXPECT_EQ(Loaded->KernelName, Kernel.name());
-  for (size_t I = 0; I < Corpus.size(); ++I) {
-    EXPECT_EQ(Loaded->Records[I].Name, Corpus[I].name());
-    EXPECT_EQ(Loaded->Records[I].Label, "L");
-    // Bit-exact against a *freshly built* profile, not just the one we
-    // serialized: cache hits and cache misses must be indistinguishable.
-    expectBitExact(Loaded->Records[I].Profile, Kernel.profile(Corpus[I]));
-  }
-  // Consequently every pairwise dot is bit-identical too.
-  for (size_t I = 0; I < Corpus.size(); ++I)
-    for (size_t J = I; J < Corpus.size(); ++J) {
-      double Fresh =
-          Kernel.profile(Corpus[I]).dot(Kernel.profile(Corpus[J]));
-      double Cached =
-          Loaded->Records[I].Profile.dot(Loaded->Records[J].Profile);
-      EXPECT_EQ(std::bit_cast<uint64_t>(Fresh),
-                std::bit_cast<uint64_t>(Cached))
-          << I << "," << J;
-    }
-}
-
-TEST(ProfileSerializerTest, EmptyProfileAndEmptyCacheRoundTrip) {
-  std::stringstream Buffer;
-  writeProfile(KernelProfile(), Buffer);
-  Expected<KernelProfile> P = readProfile(Buffer);
-  ASSERT_TRUE(P.hasValue()) << P.message();
-  EXPECT_TRUE(P->empty());
-
-  std::stringstream CacheBuffer;
-  ProfileCache Empty;
-  Empty.KernelName = "k";
-  ASSERT_TRUE(writeProfileCache(Empty, CacheBuffer).ok());
-  Expected<ProfileCache> Loaded = readProfileCache(CacheBuffer);
-  ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
-  EXPECT_EQ(Loaded->KernelName, "k");
-  EXPECT_TRUE(Loaded->Records.empty());
-}
-
-TEST(ProfileSerializerTest, RejectsBadMagicVersionAndTruncation) {
-  ProfileCache Cache;
-  Cache.KernelName = "blended";
-  KernelProfile P;
-  P.add(42, 1.5);
-  P.finalize();
-  Cache.Records.push_back({"a1.0", "a", std::move(P)});
-
-  std::stringstream Good;
-  ASSERT_TRUE(writeProfileCache(Cache, Good).ok());
-  std::string Bytes = Good.str();
-
-  {
-    std::string Bad = Bytes;
-    Bad[0] = 'X';
-    std::stringstream In(Bad);
-    Expected<ProfileCache> E = readProfileCache(In);
-    ASSERT_FALSE(E.hasValue());
-    EXPECT_NE(E.message().find("magic"), std::string::npos) << E.message();
-  }
-  {
-    std::string Bad = Bytes;
-    Bad[8] = 99; // Version field (little-endian low byte).
-    std::stringstream In(Bad);
-    Expected<ProfileCache> E = readProfileCache(In);
-    ASSERT_FALSE(E.hasValue());
-    EXPECT_NE(E.message().find("version"), std::string::npos) << E.message();
-  }
-  for (size_t Cut : {Bytes.size() - 1, Bytes.size() - 9, size_t(10)}) {
-    std::stringstream In(Bytes.substr(0, Cut));
-    Expected<ProfileCache> E = readProfileCache(In);
-    EXPECT_FALSE(E.hasValue()) << "cut at " << Cut;
-  }
-
-  {
-    // A corrupt (absurdly large) record count must come back as a
-    // truncation diagnostic, not an allocation failure: layout is
-    // magic(8) + version(4) + kernel name(4 + 7), so the count's high
-    // bytes start at offset 23.
-    std::string Bad = Bytes;
-    for (size_t I = 23; I < 31; ++I)
-      Bad[I] = '\xFF';
-    std::stringstream In(Bad);
-    Expected<ProfileCache> E = readProfileCache(In);
-    ASSERT_FALSE(E.hasValue());
-    EXPECT_NE(E.message().find("truncated"), std::string::npos)
-        << E.message();
   }
 }
 
@@ -274,39 +159,41 @@ TEST(ProfileIndexTest, EdgeCasesReturnCleanly) {
   EXPECT_EQ(Index.queryBatch({P}, 100, true, 1)[0].size(), 2u);
 }
 
-TEST(ProfileIndexTest, SaveWritesV2AndLoadsEitherVersion) {
+TEST(ProfileIndexTest, SaveWritesV3UnroutedAndV4Routed) {
   Rng R(515151);
   auto Table = TokenTable::create();
   std::vector<WeightedString> Corpus = randomCorpus(Table, R, 10, "c");
   BlendedSpectrumKernel Kernel(3);
   ProfileIndex Index = ProfileIndex::build(Kernel, Corpus, {}, 1);
+  auto header = [](const std::string &Path) {
+    std::ifstream In(Path, std::ios::binary);
+    char Bytes[12] = {};
+    EXPECT_TRUE(In.read(Bytes, sizeof(Bytes)).good()) << Path;
+    return std::make_pair(std::string(Bytes, 8),
+                          static_cast<unsigned char>(Bytes[8]));
+  };
 
-  // save() emits the v2 block format...
-  std::string V2Path = testing::TempDir() + "/kast_index_v2.kpc";
-  ASSERT_TRUE(Index.save(V2Path).ok());
-  {
-    std::ifstream In(V2Path, std::ios::binary);
-    char Magic[8];
-    ASSERT_TRUE(In.read(Magic, 8).good());
-    unsigned char VersionByte;
-    ASSERT_TRUE(
-        In.read(reinterpret_cast<char *>(&VersionByte), 1).good());
-    EXPECT_EQ(VersionByte, ProfileCacheVersionV2);
-  }
+  // save() writes a flat image: version 3 while unrouted...
+  std::string Path = testing::TempDir() + "/kast_index_version.kfi";
+  ASSERT_TRUE(Index.save(Path).ok());
+  EXPECT_EQ(header(Path).first, "KASTFLAT");
+  EXPECT_EQ(header(Path).second, FlatImageVersion);
+  Expected<ProfileIndex> Unrouted = ProfileIndex::load(Path);
+  ASSERT_TRUE(Unrouted.hasValue()) << Unrouted.message();
+  EXPECT_FALSE(Unrouted->routed());
 
-  // ...and load() accepts both a v2 file and a legacy v1 file of the
-  // same records, with identical query behavior.
-  std::string V1Path = testing::TempDir() + "/kast_index_v1.kpc";
-  ASSERT_TRUE(writeProfileCacheFile(Index.toCache(), V1Path).ok());
-  Expected<ProfileIndex> FromV2 = ProfileIndex::load(V2Path);
-  Expected<ProfileIndex> FromV1 = ProfileIndex::load(V1Path);
-  ASSERT_TRUE(FromV2.hasValue()) << FromV2.message();
-  ASSERT_TRUE(FromV1.hasValue()) << FromV1.message();
-  ASSERT_EQ(FromV2->size(), Index.size());
-  ASSERT_EQ(FromV1->size(), Index.size());
+  // ...and version 4, with the routing arenas, once routed.
+  RoutingOptions Opts;
+  Opts.Cluster.NumCentroids = 3;
+  Index.buildRouting(Opts, 1);
+  ASSERT_TRUE(Index.save(Path).ok());
+  EXPECT_EQ(header(Path).second, FlatImageVersionRouted);
+  Expected<ProfileIndex> Routed = ProfileIndex::load(Path);
+  ASSERT_TRUE(Routed.hasValue()) << Routed.message();
+  EXPECT_TRUE(Routed->routed());
   KernelProfile Query = Kernel.profile(randomString(Table, R, 20, 6));
-  EXPECT_EQ(FromV2->query(Query, 4), Index.query(Query, 4));
-  EXPECT_EQ(FromV1->query(Query, 4), Index.query(Query, 4));
+  EXPECT_EQ(Unrouted->query(Query, 4), Index.query(Query, 4));
+  EXPECT_EQ(Routed->queryApprox(Query, 4), Index.queryApprox(Query, 4));
 }
 
 TEST(ProfileIndexTest, AgreesWithGramMatrixGroundTruth) {
@@ -432,77 +319,37 @@ TEST(ProfileIndexTest, SaveLoadPreservesQueries) {
   BlendedSpectrumKernel Kernel(3);
 
   ProfileIndex Index = ProfileIndex::build(Kernel, Corpus, Labels, 1);
-  std::string Path = testing::TempDir() + "/kast_index_rt.kpc";
+  std::string Path = testing::TempDir() + "/kast_index_rt.kfi";
   Status S = Index.save(Path);
   ASSERT_TRUE(S.ok()) << S.message();
 
   Expected<ProfileIndex> Loaded = ProfileIndex::load(Path);
   ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
+  // The loaded arena views the image until the first add().
+  EXPECT_TRUE(Loaded->store().isMapped());
   ASSERT_EQ(Loaded->size(), Index.size());
   EXPECT_EQ(Loaded->kernelName(), Index.kernelName());
   for (size_t I = 0; I < Index.size(); ++I) {
     EXPECT_EQ(Loaded->name(I), Index.name(I));
     EXPECT_EQ(Loaded->label(I), Index.label(I));
-    EXPECT_EQ(Loaded->norm(I), Index.norm(I));
+    EXPECT_EQ(std::bit_cast<uint64_t>(Loaded->norm(I)),
+              std::bit_cast<uint64_t>(Index.norm(I)));
+    expectBitExact(Loaded->profile(I), Index.profile(I));
   }
   KernelProfile Query = Kernel.profile(randomString(Table, R, 20, 6));
   EXPECT_EQ(Loaded->query(Query, 5), Index.query(Query, 5));
-}
 
-//===----------------------------------------------------------------------===//
-// Corpus profile cache (workloads/CorpusIO)
-//===----------------------------------------------------------------------===//
-
-TEST(ProfileIndexTest, CorpusProfileCacheVerifiesKernelName) {
-  CorpusOptions Shape;
-  Shape.BaseA = 2;
-  Shape.BaseB = 1;
-  Shape.BaseC = 0;
-  Shape.BaseD = 0;
-  Shape.CopiesPerBase = 1;
-  LabeledDataset Data =
-      convertCorpus(Pipeline::withBytes(), generateCorpus(Shape));
-  ASSERT_GT(Data.size(), 0u);
-
-  BlendedSpectrumKernel Kernel(3, 1.0, /*Weighted=*/true, /*CutWeight=*/2);
-  std::string Path = testing::TempDir() + "/kast_corpus_profiles.kpc";
-  Status W = writeCorpusProfileCache(Path, Kernel, Data, /*Threads=*/1);
-  ASSERT_TRUE(W.ok()) << W.message();
-
-  Expected<ProfileCache> Good = loadCorpusProfileCache(Path, Kernel);
-  ASSERT_TRUE(Good.hasValue()) << Good.message();
-  ASSERT_EQ(Good->Records.size(), Data.size());
-  for (size_t I = 0; I < Data.size(); ++I) {
-    EXPECT_EQ(Good->Records[I].Name, Data.string(I).name());
-    EXPECT_EQ(Good->Records[I].Label, Data.label(I));
-    expectBitExact(Good->Records[I].Profile, Kernel.profile(Data.string(I)));
-  }
-
-  // The arena form of the same load: identical provenance and
-  // bit-identical profiles, straight into a ProfileStore.
-  Expected<ProfileStoreCache> Arena = loadCorpusProfileStore(Path, Kernel);
-  ASSERT_TRUE(Arena.hasValue()) << Arena.message();
-  ASSERT_EQ(Arena->Store.size(), Data.size());
-  for (size_t I = 0; I < Data.size(); ++I) {
-    EXPECT_EQ(Arena->Names[I], Data.string(I).name());
-    EXPECT_EQ(Arena->Labels[I], Data.label(I));
-    expectBitExact(Arena->Store.materialize(I),
-                   Kernel.profile(Data.string(I)));
-  }
-
-  // A differently-configured kernel names itself differently, and the
-  // mismatch is a load-time error, not a silent wrong similarity —
-  // through both load forms.
-  BlendedSpectrumKernel Other(4, 1.0, /*Weighted=*/true, /*CutWeight=*/2);
-  ASSERT_NE(Other.name(), Kernel.name());
-  Expected<ProfileCache> Bad = loadCorpusProfileCache(Path, Other);
-  ASSERT_FALSE(Bad.hasValue());
-  EXPECT_NE(Bad.message().find(Kernel.name()), std::string::npos)
-      << Bad.message();
-  Expected<ProfileStoreCache> BadArena = loadCorpusProfileStore(Path, Other);
-  ASSERT_FALSE(BadArena.hasValue());
-  EXPECT_NE(BadArena.message().find(Kernel.name()), std::string::npos)
-      << BadArena.message();
+  // Growing the loaded index promotes its store, and saving it back
+  // over the image it still maps round-trips the grown contents.
+  ProfileIndex Grown = Loaded.take();
+  Grown.add("extra", "even", Query);
+  EXPECT_FALSE(Grown.store().isMapped());
+  ASSERT_TRUE(Grown.save(Path).ok());
+  Expected<ProfileIndex> Again = ProfileIndex::load(Path);
+  ASSERT_TRUE(Again.hasValue()) << Again.message();
+  ASSERT_EQ(Again->size(), Index.size() + 1);
+  EXPECT_EQ(Again->name(Index.size()), "extra");
+  EXPECT_EQ(Again->query(Query, 5), Grown.query(Query, 5));
 }
 
 } // namespace

@@ -1,4 +1,4 @@
-//===- tests/ProfileStoreTest.cpp - arena storage and v2 cache -------------===//
+//===- tests/ProfileStoreTest.cpp - arena storage --------------------------===//
 //
 // Part of KAST, under the MIT License.
 //
@@ -7,14 +7,11 @@
 // The structure-of-arrays storage contract: profiles copied into a
 // ProfileStore come back bit-exactly (views, materialized staging
 // copies, and every pairwise dot), the Gram fast path over store views
-// matches the per-pair baseline across tile boundaries, and the v2
-// block cache format round-trips stores bit-exactly while remaining
-// interchangeable with v1 files in both directions.
+// matches the per-pair baseline across tile boundaries.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/KernelMatrix.h"
-#include "core/ProfileSerializer.h"
 #include "core/ProfileStore.h"
 #include "kernels/SpectrumKernels.h"
 #include "util/Rng.h"
@@ -23,8 +20,6 @@
 
 #include <bit>
 #include <cmath>
-#include <fstream>
-#include <sstream>
 
 using namespace kast;
 
@@ -241,187 +236,6 @@ TEST(ProfileStoreTest, NonProfiledKernelsKeepTheHandlePath) {
   KernelMatrix On(Profiled, {});
   On.appendRows(Corpus);
   EXPECT_NE(On.profileStore(), nullptr);
-}
-
-//===----------------------------------------------------------------------===//
-// v2 block cache format
-//===----------------------------------------------------------------------===//
-
-ProfileStoreCache makeStoreCache(Rng &R, size_t N,
-                                 const std::string &KernelName) {
-  auto Table = TokenTable::create();
-  std::vector<WeightedString> Corpus = randomCorpus(Table, R, N);
-  BlendedSpectrumKernel Kernel(3, 0.8, /*Weighted=*/true, /*CutWeight=*/2);
-  ProfileStoreCache Cache;
-  Cache.KernelName = KernelName;
-  for (size_t I = 0; I < Corpus.size(); ++I) {
-    Cache.Names.push_back(Corpus[I].name());
-    Cache.Labels.push_back(I % 2 ? "odd" : "even");
-    Cache.Store.append(Kernel.profile(Corpus[I]));
-  }
-  return Cache;
-}
-
-TEST(ProfileStoreCacheTest, V2RoundTripsStoresBitExactly) {
-  Rng R(20202);
-  ProfileStoreCache Cache = makeStoreCache(R, 17, "blended");
-
-  std::stringstream Buffer;
-  ASSERT_TRUE(writeProfileStoreCache(Cache, Buffer).ok());
-  Expected<ProfileStoreCache> Loaded = readProfileStoreCache(Buffer);
-  ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
-
-  EXPECT_EQ(Loaded->KernelName, "blended");
-  ASSERT_EQ(Loaded->Store.size(), Cache.Store.size());
-  EXPECT_EQ(Loaded->Names, Cache.Names);
-  EXPECT_EQ(Loaded->Labels, Cache.Labels);
-  // The three arrays survive byte-for-byte: hashes, value bit
-  // patterns, offsets — and therefore norms and every dot.
-  EXPECT_EQ(Loaded->Store.hashes(), Cache.Store.hashes());
-  EXPECT_EQ(Loaded->Store.offsets(), Cache.Store.offsets());
-  ASSERT_EQ(Loaded->Store.values().size(), Cache.Store.values().size());
-  for (size_t I = 0; I < Cache.Store.values().size(); ++I)
-    EXPECT_EQ(std::bit_cast<uint64_t>(Loaded->Store.values()[I]),
-              std::bit_cast<uint64_t>(Cache.Store.values()[I]));
-  for (size_t I = 0; I < Cache.Store.size(); ++I)
-    EXPECT_EQ(std::bit_cast<uint64_t>(Loaded->Store.norm(I)),
-              std::bit_cast<uint64_t>(Cache.Store.norm(I)));
-}
-
-TEST(ProfileStoreCacheTest, V1AndV2LoadInterchangeably) {
-  Rng R(30303);
-  ProfileStoreCache StoreCache = makeStoreCache(R, 9, "k");
-
-  // The same collection in both formats.
-  std::stringstream V2;
-  ASSERT_TRUE(writeProfileStoreCache(StoreCache, V2).ok());
-  ProfileCache Records;
-  Records.KernelName = StoreCache.KernelName;
-  for (size_t I = 0; I < StoreCache.Store.size(); ++I)
-    Records.Records.push_back({StoreCache.Names.str(I),
-                               StoreCache.Labels.str(I),
-                               StoreCache.Store.materialize(I)});
-  std::stringstream V1;
-  ASSERT_TRUE(writeProfileCache(Records, V1).ok());
-
-  // v1 bytes into a store (the upgrade path)...
-  Expected<ProfileStoreCache> V1AsStore = readProfileStoreCache(V1);
-  ASSERT_TRUE(V1AsStore.hasValue()) << V1AsStore.message();
-  EXPECT_EQ(V1AsStore->Store.hashes(), StoreCache.Store.hashes());
-  EXPECT_EQ(V1AsStore->Store.offsets(), StoreCache.Store.offsets());
-  EXPECT_EQ(V1AsStore->Names, StoreCache.Names);
-
-  // ...and v2 bytes into records (the downgrade path); both agree
-  // with the originals bit-exactly.
-  Expected<ProfileCache> V2AsRecords = readProfileCache(V2);
-  ASSERT_TRUE(V2AsRecords.hasValue()) << V2AsRecords.message();
-  ASSERT_EQ(V2AsRecords->Records.size(), Records.Records.size());
-  for (size_t I = 0; I < Records.Records.size(); ++I) {
-    EXPECT_EQ(V2AsRecords->Records[I].Name, Records.Records[I].Name);
-    EXPECT_EQ(V2AsRecords->Records[I].Label, Records.Records[I].Label);
-    expectBitExact(V2AsRecords->Records[I].Profile,
-                   Records.Records[I].Profile);
-  }
-}
-
-TEST(ProfileStoreCacheTest, RejectsBadMagicTruncationAndCorruptOffsets) {
-  Rng R(40404);
-  ProfileStoreCache Cache = makeStoreCache(R, 5, "k");
-  std::stringstream Good;
-  ASSERT_TRUE(writeProfileStoreCache(Cache, Good).ok());
-  std::string Bytes = Good.str();
-
-  {
-    std::string Bad = Bytes;
-    Bad[0] = 'X';
-    std::stringstream In(Bad);
-    Expected<ProfileStoreCache> E = readProfileStoreCache(In);
-    ASSERT_FALSE(E.hasValue());
-    EXPECT_NE(E.message().find("magic"), std::string::npos) << E.message();
-  }
-  {
-    std::string Bad = Bytes;
-    Bad[8] = 99; // Version field (little-endian low byte).
-    std::stringstream In(Bad);
-    Expected<ProfileStoreCache> E = readProfileStoreCache(In);
-    ASSERT_FALSE(E.hasValue());
-    EXPECT_NE(E.message().find("version"), std::string::npos) << E.message();
-  }
-  // Truncation anywhere — inside the header, the name table, the
-  // offset array, or the value blob — is a diagnostic, not garbage.
-  for (size_t Cut : {Bytes.size() - 1, Bytes.size() - 9,
-                     Bytes.size() / 2, size_t(30), size_t(10)}) {
-    std::stringstream In(Bytes.substr(0, Cut));
-    Expected<ProfileStoreCache> E = readProfileStoreCache(In);
-    EXPECT_FALSE(E.hasValue()) << "cut at " << Cut;
-  }
-
-  // An entry total inconsistent with the offsets is rejected before
-  // any profile is served. The total lives right after the profile
-  // count: magic(8) + version(4) + kernel "k"(4 + 1) + count(8).
-  {
-    std::string Bad = Bytes;
-    const size_t TotalOffset = 8 + 4 + 4 + 1 + 8;
-    Bad[TotalOffset] = static_cast<char>(Bad[TotalOffset] + 1);
-    std::stringstream In(Bad);
-    Expected<ProfileStoreCache> E = readProfileStoreCache(In);
-    ASSERT_FALSE(E.hasValue());
-  }
-}
-
-TEST(ProfileStoreCacheTest, CorruptOffsetsDiagnoseBeforeEntryAdoption) {
-  // A tiny store with known arrays so the CSR offsets {0, 2, 3} have a
-  // unique 24-byte encoding in the v2 file (the hashes are huge, the
-  // value bit patterns unrelated).
-  ProfileStoreCache Cache;
-  Cache.KernelName = "k";
-  Cache.Names = std::vector<std::string>{"a", "b"};
-  Cache.Labels = std::vector<std::string>{"", ""};
-  Cache.Store = ProfileStore::adopt({0x1111111111111111ULL,
-                                     0x2222222222222222ULL,
-                                     0x3333333333333333ULL},
-                                    {3.0, 4.0, 1.0}, {0, 2, 3});
-  std::stringstream Good;
-  ASSERT_TRUE(writeProfileStoreCache(Cache, Good).ok());
-  std::string Bytes = Good.str();
-
-  // Locate the offsets blob by its unique byte pattern and break
-  // monotonicity: {0, 2, 3} -> {0, 7, 3}.
-  std::string Pattern(24, '\0');
-  Pattern[8] = 2;
-  Pattern[16] = 3;
-  const size_t At = Bytes.find(Pattern);
-  ASSERT_NE(At, std::string::npos);
-  ASSERT_EQ(Bytes.find(Pattern, At + 1), std::string::npos);
-  std::string Bad = Bytes;
-  Bad[At + 8] = 7;
-
-  // The pre-adoption CSR validation (validateCsrOffsets, shared with
-  // the v3 flat-image reader) rejects the file with a diagnostic
-  // naming the offsets, before any entry blob is served.
-  std::stringstream In(Bad);
-  Expected<ProfileStoreCache> E = readProfileStoreCache(In);
-  ASSERT_FALSE(E.hasValue());
-  EXPECT_NE(E.message().find("offsets"), std::string::npos) << E.message();
-  EXPECT_NE(E.message().find("monotonic"), std::string::npos) << E.message();
-}
-
-TEST(ProfileStoreCacheTest, FileRoundTripAndWriterValidation) {
-  Rng R(50505);
-  ProfileStoreCache Cache = makeStoreCache(R, 6, "k");
-  std::string Path = testing::TempDir() + "/kast_store_rt.kpc";
-  ASSERT_TRUE(writeProfileStoreCacheFile(Cache, Path).ok());
-  Expected<ProfileStoreCache> Loaded = readProfileStoreCacheFile(Path);
-  ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
-  EXPECT_EQ(Loaded->Store.hashes(), Cache.Store.hashes());
-
-  // A cache whose name/label tables disagree with the store is a
-  // writer-side error, not a corrupt file.
-  Cache.Names.pop_back();
-  std::stringstream Out;
-  Status S = writeProfileStoreCache(Cache, Out);
-  ASSERT_FALSE(S.ok());
-  EXPECT_NE(S.message().find("names"), std::string::npos) << S.message();
 }
 
 } // namespace
