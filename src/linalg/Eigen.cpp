@@ -5,140 +5,321 @@
 //===----------------------------------------------------------------------===//
 
 #include "linalg/Eigen.h"
+#include "util/ThreadPool.h"
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 using namespace kast;
 
-/// Sum of squares of the strict upper triangle; convergence measure.
-static double offDiagonalNormSq(const Matrix &A) {
-  double Sum = 0.0;
-  for (size_t I = 0; I < A.rows(); ++I)
-    for (size_t J = I + 1; J < A.cols(); ++J)
-      Sum += A.at(I, J) * A.at(I, J);
-  return Sum;
-}
+namespace {
 
-EigenDecomposition kast::eigenSymmetric(const Matrix &Input,
-                                        const JacobiOptions &Options) {
-  assert(Input.rows() == Input.cols() && "eigendecomposition needs square");
-  assert(Input.isSymmetric(1e-6) && "eigendecomposition needs symmetry");
-  const size_t N = Input.rows();
+/// Per-eigenvalue QL iteration cap (EISPACK's). The shifted iteration
+/// converges cubically and needs a handful at most.
+constexpr size_t MaxQlIterations = 30;
 
-  Matrix A = Input;
-  Matrix V = Matrix::identity(N);
-  EigenDecomposition Result;
+/// Householder reduction of symmetric \p W to tridiagonal form
+/// (EISPACK tred2). On return \p D holds the diagonal, \p E the
+/// subdiagonal in E[1..N-1] (E[0] = 0), and row j of \p W the j-th
+/// column of the accumulated orthogonal transform. W is the transpose
+/// of tred2's V, so every inner loop runs along a row.
+void tridiagonalize(std::vector<double> &W, size_t N, std::vector<double> &D,
+                    std::vector<double> &E) {
+  auto Row = [&](size_t R) { return W.data() + R * N; };
+  for (size_t J = 0; J < N; ++J)
+    D[J] = Row(J)[N - 1];
 
-  const double Threshold = Options.Tolerance * Options.Tolerance;
-  for (size_t Sweep = 0; Sweep < Options.MaxSweeps; ++Sweep) {
-    if (offDiagonalNormSq(A) <= Threshold) {
-      Result.Converged = true;
-      break;
-    }
-    ++Result.Sweeps;
-    // One cyclic sweep over the strict upper triangle.
-    for (size_t P = 0; P + 1 < N; ++P) {
-      for (size_t Q = P + 1; Q < N; ++Q) {
-        double Apq = A.at(P, Q);
-        if (std::fabs(Apq) < 1e-300)
-          continue;
-        double App = A.at(P, P);
-        double Aqq = A.at(Q, Q);
-        // Rotation angle from the standard Jacobi formulas.
-        double Theta = (Aqq - App) / (2.0 * Apq);
-        double T = (Theta >= 0.0 ? 1.0 : -1.0) /
-                   (std::fabs(Theta) + std::sqrt(Theta * Theta + 1.0));
-        double C = 1.0 / std::sqrt(T * T + 1.0);
-        double S = T * C;
+  for (size_t I = N - 1; I > 0; --I) {
+    // Scale to avoid under/overflow.
+    double Scale = 0.0;
+    double H = 0.0;
+    for (size_t K = 0; K < I; ++K)
+      Scale += std::fabs(D[K]);
+    if (Scale == 0.0) {
+      E[I] = D[I - 1];
+      for (size_t J = 0; J < I; ++J) {
+        D[J] = Row(J)[I - 1];
+        Row(I)[J] = 0.0;
+        Row(J)[I] = 0.0;
+      }
+    } else {
+      // Generate the Householder vector.
+      for (size_t K = 0; K < I; ++K) {
+        D[K] /= Scale;
+        H += D[K] * D[K];
+      }
+      double F = D[I - 1];
+      double G = std::sqrt(H);
+      if (F > 0.0)
+        G = -G;
+      E[I] = Scale * G;
+      H -= F * G;
+      D[I - 1] = F - G;
+      std::fill(E.begin(), E.begin() + I, 0.0);
 
-        // Apply the rotation to rows/columns p and q of A.
-        for (size_t K = 0; K < N; ++K) {
-          double Akp = A.at(K, P);
-          double Akq = A.at(K, Q);
-          A.at(K, P) = C * Akp - S * Akq;
-          A.at(K, Q) = S * Akp + C * Akq;
+      // Apply the similarity transformation to the remaining rows.
+      for (size_t J = 0; J < I; ++J) {
+        const double *Wj = Row(J);
+        F = D[J];
+        Row(I)[J] = F;
+        G = E[J] + Wj[J] * F;
+        for (size_t K = J + 1; K < I; ++K) {
+          G += Wj[K] * D[K];
+          E[K] += Wj[K] * F;
         }
-        for (size_t K = 0; K < N; ++K) {
-          double Apk = A.at(P, K);
-          double Aqk = A.at(Q, K);
-          A.at(P, K) = C * Apk - S * Aqk;
-          A.at(Q, K) = S * Apk + C * Aqk;
-        }
-        // Accumulate the eigenvector rotation.
-        for (size_t K = 0; K < N; ++K) {
-          double Vkp = V.at(K, P);
-          double Vkq = V.at(K, Q);
-          V.at(K, P) = C * Vkp - S * Vkq;
-          V.at(K, Q) = S * Vkp + C * Vkq;
-        }
+        E[J] = G;
+      }
+      F = 0.0;
+      for (size_t J = 0; J < I; ++J) {
+        E[J] /= H;
+        F += E[J] * D[J];
+      }
+      const double HH = F / (H + H);
+      for (size_t J = 0; J < I; ++J)
+        E[J] -= HH * D[J];
+      for (size_t J = 0; J < I; ++J) {
+        double *Wj = Row(J);
+        F = D[J];
+        G = E[J];
+        for (size_t K = J; K < I; ++K)
+          Wj[K] -= F * E[K] + G * D[K];
+        D[J] = Wj[I - 1];
+        Wj[I] = 0.0;
       }
     }
+    D[I] = H;
   }
-  if (!Result.Converged)
-    Result.Converged = offDiagonalNormSq(A) <= Threshold;
 
-  // Extract and sort eigenpairs in descending eigenvalue order.
+  // Accumulate the transformations.
+  for (size_t I = 0; I + 1 < N; ++I) {
+    double *Wi = Row(I);
+    double *Next = Row(I + 1);
+    Wi[N - 1] = Wi[I];
+    Wi[I] = 1.0;
+    const double H = D[I + 1];
+    if (H != 0.0) {
+      for (size_t K = 0; K <= I; ++K)
+        D[K] = Next[K] / H;
+      for (size_t J = 0; J <= I; ++J) {
+        double *Wj = Row(J);
+        double G = 0.0;
+        for (size_t K = 0; K <= I; ++K)
+          G += Next[K] * Wj[K];
+        for (size_t K = 0; K <= I; ++K)
+          Wj[K] -= G * D[K];
+      }
+    }
+    std::fill(Next, Next + I + 1, 0.0);
+  }
+  for (size_t J = 0; J < N; ++J) {
+    D[J] = Row(J)[N - 1];
+    Row(J)[N - 1] = 0.0;
+  }
+  Row(N - 1)[N - 1] = 1.0;
+  E[0] = 0.0;
+}
+
+/// Implicit-shift QL on the tridiagonal (\p D, \p E) from
+/// tridiagonalize (EISPACK tql2), rotating the rows of \p W along.
+/// \returns false if some eigenvalue used up MaxQlIterations; a NaN
+/// anywhere never meets the stopping test, so it ends up here too.
+bool diagonalize(std::vector<double> &W, size_t N, std::vector<double> &D,
+                 std::vector<double> &E) {
+  auto Row = [&](size_t R) { return W.data() + R * N; };
+  for (size_t I = 1; I < N; ++I)
+    E[I - 1] = E[I];
+  E[N - 1] = 0.0;
+
+  // A subdiagonal element is negligible against the norm of the whole
+  // tridiagonal. tql2's running maximum of |D| + |E| would instead judge
+  // a near-null leading block (a Gram with duplicated rows) at its own
+  // tiny scale and iterate it until its entries go subnormal, where the
+  // rotations stop being orthogonal.
+  double Tst1 = 0.0;
+  for (size_t I = 0; I < N; ++I)
+    Tst1 = std::max(Tst1, std::fabs(D[I]) + std::fabs(E[I]));
+
+  bool Converged = true;
+  double F = 0.0;
+  const double Eps = std::numeric_limits<double>::epsilon();
+  for (size_t L = 0; L < N; ++L) {
+    // Find a small subdiagonal element; E[N-1] = 0 bounds the search.
+    size_t M = L;
+    while (M + 1 < N && !(std::fabs(E[M]) <= Eps * Tst1))
+      ++M;
+
+    // If M == L, D[L] is already an eigenvalue; otherwise iterate.
+    for (size_t Iter = 0; M > L && !(std::fabs(E[L]) <= Eps * Tst1);
+         ++Iter) {
+      if (Iter == MaxQlIterations) {
+        Converged = false;
+        break;
+      }
+      // Compute the implicit shift.
+      double G = D[L];
+      double P = (D[L + 1] - G) / (2.0 * E[L]);
+      double R = std::hypot(P, 1.0);
+      if (P < 0.0)
+        R = -R;
+      D[L] = E[L] / (P + R);
+      D[L + 1] = E[L] * (P + R);
+      const double Dl1 = D[L + 1];
+      double H = G - D[L];
+      for (size_t I = L + 2; I < N; ++I)
+        D[I] -= H;
+      F += H;
+
+      // Implicit QL transformation.
+      P = D[M];
+      double C = 1.0, C2 = 1.0, C3 = 1.0;
+      const double El1 = E[L + 1];
+      double S = 0.0, S2 = 0.0;
+      for (size_t I = M; I-- > L;) {
+        C3 = C2;
+        C2 = C;
+        S2 = S;
+        G = C * E[I];
+        H = C * P;
+        R = std::hypot(P, E[I]);
+        E[I + 1] = S * R;
+        S = E[I] / R;
+        C = P / R;
+        P = C * D[I] - S * G;
+        D[I + 1] = H + S * (C * G + S * D[I]);
+
+        // Accumulate the rotation into eigenvector rows I and I+1.
+        double *Wi = Row(I);
+        double *Wn = Row(I + 1);
+        for (size_t K = 0; K < N; ++K) {
+          const double Hk = Wn[K];
+          Wn[K] = S * Wi[K] + C * Hk;
+          Wi[K] = C * Wi[K] - S * Hk;
+        }
+      }
+      P = -S * S2 * C3 * El1 * E[L] / Dl1;
+      E[L] = S * P;
+      D[L] = C * P;
+    }
+    D[L] += F;
+    E[L] = 0.0;
+  }
+  return Converged;
+}
+
+bool allFinite(const std::vector<double> &Values) {
+  return std::all_of(Values.begin(), Values.end(),
+                     [](double V) { return std::isfinite(V); });
+}
+
+} // namespace
+
+EigenDecomposition kast::eigenSymmetric(const Matrix &Input) {
+  assert(Input.rows() == Input.cols() && "eigendecomposition needs square");
+  const size_t N = Input.rows();
+  EigenDecomposition Result;
+  if (N == 0) {
+    Result.Converged = true;
+    return Result;
+  }
+
+  // W starts as A (= A^T) and ends with the eigenvectors as its rows.
+  // NaN or Inf input is not iterated at all: a comparison with NaN
+  // must not pass for convergence.
+  std::vector<double> W = Input.data();
+  std::vector<double> D(N), E(N);
+  if (allFinite(W)) {
+    assert(Input.isSymmetric(1e-6) && "eigendecomposition needs symmetry");
+    tridiagonalize(W, N, D, E);
+    Result.Converged = diagonalize(W, N, D, E) && allFinite(D) &&
+                       allFinite(W);
+  }
+  if (!Result.Converged) {
+    // An unconverged result is all NaN, so it cannot pass for an answer.
+    const double NaN = std::numeric_limits<double>::quiet_NaN();
+    Result.Values.assign(N, NaN);
+    Result.Vectors = Matrix(N, N, NaN);
+    return Result;
+  }
+
+  // Fix each eigenvector's sign: largest-magnitude component positive,
+  // the lowest index winning a tie.
+  for (size_t J = 0; J < N; ++J) {
+    double *Wj = W.data() + J * N;
+    size_t Pivot = 0;
+    for (size_t K = 1; K < N; ++K)
+      if (std::fabs(Wj[K]) > std::fabs(Wj[Pivot]))
+        Pivot = K;
+    if (Wj[Pivot] < 0.0)
+      for (size_t K = 0; K < N; ++K)
+        Wj[K] = -Wj[K];
+  }
+
+  // Sort eigenpairs in descending eigenvalue order, vectors into columns.
   std::vector<size_t> Order(N);
   std::iota(Order.begin(), Order.end(), 0);
-  std::vector<double> Diag(N);
-  for (size_t I = 0; I < N; ++I)
-    Diag[I] = A.at(I, I);
-  std::sort(Order.begin(), Order.end(),
-            [&Diag](size_t L, size_t R) { return Diag[L] > Diag[R]; });
-
+  std::stable_sort(Order.begin(), Order.end(),
+                   [&D](size_t L, size_t R) { return D[L] > D[R]; });
   Result.Values.resize(N);
   Result.Vectors = Matrix(N, N);
   for (size_t J = 0; J < N; ++J) {
-    Result.Values[J] = Diag[Order[J]];
+    Result.Values[J] = D[Order[J]];
+    const double *Wj = W.data() + Order[J] * N;
     for (size_t I = 0; I < N; ++I)
-      Result.Vectors.at(I, J) = V.at(I, Order[J]);
+      Result.Vectors.at(I, J) = Wj[I];
   }
   return Result;
 }
 
-/// Rebuilds sum over non-negative eigenvalues of lambda * v v^T from a
-/// computed decomposition; shared by the two PSD projections.
+/// Rebuilds sum over positive eigenvalues of lambda * v v^T from a
+/// computed decomposition; shared by the two PSD projections. Each
+/// upper-triangle entry sums over the eigenpairs in one fixed order,
+/// whatever the thread count, and is mirrored into the lower triangle,
+/// so the result is exactly symmetric and exactly reproducible.
 static Matrix rebuildClipped(const EigenDecomposition &E, size_t N) {
-  Matrix Out(N, N, 0.0);
-  // Out = sum over non-negative eigenvalues of lambda * v v^T.
-  for (size_t K = 0; K < N; ++K) {
-    double Lambda = E.Values[K];
-    if (Lambda <= 0.0)
-      continue;
-    for (size_t I = 0; I < N; ++I) {
-      double Vi = E.Vectors.at(I, K);
-      if (Vi == 0.0)
-        continue;
-      for (size_t J = 0; J < N; ++J)
-        Out.at(I, J) += Lambda * Vi * E.Vectors.at(J, K);
-    }
-  }
-  // Remove rounding asymmetry.
+  // Values are descending; an unconverged all-NaN spectrum is kept
+  // whole, so its rebuild is NaN rather than a silent zero matrix.
+  size_t Positive = 0;
+  while (Positive < N && !(E.Values[Positive] <= 0.0))
+    ++Positive;
+  // Rows of Vt are the kept eigenvectors, so the inner loop is contiguous.
+  std::vector<double> Vt(Positive * N);
   for (size_t I = 0; I < N; ++I)
-    for (size_t J = I + 1; J < N; ++J) {
-      double Mean = 0.5 * (Out.at(I, J) + Out.at(J, I));
-      Out.at(I, J) = Mean;
-      Out.at(J, I) = Mean;
+    for (size_t K = 0; K < Positive; ++K)
+      Vt[K * N + I] = E.Vectors.at(I, K);
+
+  Matrix Out(N, N, 0.0);
+  parallelFor(N, [&](size_t I) {
+    double *OutRow = &Out.at(I, 0);
+    for (size_t K = 0; K < Positive; ++K) {
+      const double *Vk = Vt.data() + K * N;
+      const double Scaled = E.Values[K] * Vk[I];
+      if (Scaled == 0.0)
+        continue;
+      for (size_t J = I; J < N; ++J)
+        OutRow[J] += Scaled * Vk[J];
     }
+  });
+  for (size_t I = 0; I < N; ++I)
+    for (size_t J = I + 1; J < N; ++J)
+      Out.at(J, I) = Out.at(I, J);
   return Out;
 }
 
-Matrix kast::projectToPsd(const Matrix &A, const JacobiOptions &Options) {
-  return rebuildClipped(eigenSymmetric(A, Options), A.rows());
+Matrix kast::projectToPsd(const Matrix &A) {
+  return rebuildClipped(eigenSymmetric(A), A.rows());
 }
 
-Matrix kast::projectToPsdIfNeeded(const Matrix &A,
-                                  const JacobiOptions &Options) {
-  EigenDecomposition E = eigenSymmetric(A, Options);
+Matrix kast::projectToPsdIfNeeded(const Matrix &A) {
+  EigenDecomposition E = eigenSymmetric(A);
   if (E.Values.empty() || E.Values.back() >= 0.0)
     return A;
   return rebuildClipped(E, A.rows());
 }
 
-double kast::minEigenvalue(const Matrix &A, const JacobiOptions &Options) {
-  EigenDecomposition E = eigenSymmetric(A, Options);
+double kast::minEigenvalue(const Matrix &A) {
+  EigenDecomposition E = eigenSymmetric(A);
   assert(!E.Values.empty() && "empty matrix has no eigenvalues");
   return E.Values.back();
 }

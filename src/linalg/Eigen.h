@@ -5,9 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Cyclic Jacobi eigendecomposition for symmetric matrices, plus the
-/// two kernel-matrix transformations the paper's evaluation pipeline
-/// needs:
+/// Dense symmetric eigendecomposition, plus the two kernel-matrix
+/// transformations the paper's evaluation pipeline needs:
 ///
 ///  * PSD projection — Section 4.1: "If the matrices presented negative
 ///    eigenvalues, they were replaced by zero and the matrices
@@ -15,9 +14,13 @@
 ///  * double centering — the feature-space centering step of Kernel PCA
 ///    (Schoelkopf et al., 1997): K' = K - 1K - K1 + 1K1.
 ///
-/// Jacobi is chosen over faster tridiagonalization methods because it
-/// is simple, unconditionally stable for symmetric input, and the Gram
-/// matrices here are at most a few hundred rows.
+/// The solver is the standard dense one: Householder reduction to
+/// tridiagonal form followed by implicit-shift QL with eigenvector
+/// accumulation (EISPACK tred2/tql2, as in the public-domain JAMA
+/// package). Its cost is O(N^3), a few N^3 flops in all, with no sweep
+/// count that grows with N. Every inner loop walks a contiguous row:
+/// the solver keeps the eigenvectors as rows of a working matrix and
+/// transposes once at the end.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,42 +37,37 @@ namespace kast {
 struct EigenDecomposition {
   /// Eigenvalues sorted in descending order.
   std::vector<double> Values;
-  /// Column j of this matrix is the eigenvector for Values[j].
+  /// Column j of this matrix is the eigenvector for Values[j], of unit
+  /// length. Its sign is fixed: the component of largest magnitude is
+  /// positive (the lowest row index wins a tie), so the result does not
+  /// depend on the solver's iteration order.
   Matrix Vectors;
-  /// Number of Jacobi sweeps performed.
-  size_t Sweeps = 0;
-  /// True if the off-diagonal norm converged below tolerance.
+  /// False if the input held a NaN or an infinity, if a QL iteration
+  /// hit its per-eigenvalue cap, or if the result is not finite; Values
+  /// and Vectors are then all NaN.
   bool Converged = false;
 };
 
-/// Options for the Jacobi solver.
-struct JacobiOptions {
-  /// Stop when the off-diagonal Frobenius norm falls below this.
-  double Tolerance = 1e-12;
-  /// Hard sweep limit; 100 is far beyond what symmetric input needs.
-  size_t MaxSweeps = 100;
-};
-
-/// Computes the full eigendecomposition of symmetric \p A.
+/// Computes the full eigendecomposition of symmetric \p A. N = 0 gives
+/// an empty, converged result; N = 1 is exact.
 ///
 /// \pre A.isSymmetric(). Asserts on non-square input.
-EigenDecomposition eigenSymmetric(const Matrix &A,
-                                  const JacobiOptions &Options = {});
+EigenDecomposition eigenSymmetric(const Matrix &A);
 
 /// Clips negative eigenvalues to zero and rebuilds the matrix,
 /// returning the nearest (Frobenius) positive semi-definite matrix.
-/// The result is re-symmetrized to remove rounding asymmetry.
-Matrix projectToPsd(const Matrix &A, const JacobiOptions &Options = {});
+/// The result is exactly symmetric, and bit-identical whatever the
+/// number of threads the rebuild runs on.
+Matrix projectToPsd(const Matrix &A);
 
 /// Like projectToPsd, but returns \p A unchanged when its spectrum is
 /// already non-negative — and decides that from the same single
 /// eigendecomposition the rebuild uses, where the minEigenvalue-then-
 /// projectToPsd sequence costs two.
-Matrix projectToPsdIfNeeded(const Matrix &A,
-                            const JacobiOptions &Options = {});
+Matrix projectToPsdIfNeeded(const Matrix &A);
 
 /// \returns the smallest eigenvalue of symmetric \p A.
-double minEigenvalue(const Matrix &A, const JacobiOptions &Options = {});
+double minEigenvalue(const Matrix &A);
 
 /// Double-centers a Gram matrix: K' = K - 1K - K1 + 1K1 where 1 is the
 /// constant 1/n matrix. After centering the implicit feature vectors
