@@ -166,22 +166,19 @@ struct SectionOut {
   }
 };
 
-/// A string list as a self-contained section: (N+1) u64 offsets into
-/// the byte blob that follows — the same CSR idea as the profile
-/// arrays, so restore is a bounds-checked view, not a length-prefixed
-/// parse. Works over vector<std::string> and StringColumn alike (both
-/// expose size() and a string_view-convertible operator[]).
-template <typename Column>
-std::vector<unsigned char> buildStringTable(const Column &Strings) {
+/// A string column as a self-contained section: (N+1) u64 offsets into
+/// the byte blob that follows — StringColumn's own CSR layout, so
+/// restore is a bounds-checked view, not a length-prefixed parse.
+std::vector<unsigned char> buildStringTable(const StringColumn &Strings) {
   std::vector<unsigned char> Out;
   uint64_t Total = 0;
   for (size_t I = 0; I < Strings.size(); ++I)
-    Total += std::string_view(Strings[I]).size();
+    Total += Strings[I].size();
   Out.reserve((Strings.size() + 1) * 8 + Total);
   uint64_t Offset = 0;
   appendU64(Out, 0);
   for (size_t I = 0; I < Strings.size(); ++I) {
-    Offset += std::string_view(Strings[I]).size();
+    Offset += Strings[I].size();
     appendU64(Out, Offset);
   }
   for (size_t I = 0; I < Strings.size(); ++I) {
@@ -255,12 +252,10 @@ Status validateStringTable(const unsigned char *Data, uint64_t Size,
   return Status();
 }
 
-/// The shared writer over either string-column shape
-/// (vector<std::string> or StringColumn), optionally embedding routing
-/// arenas — which is what flips the written version to 4.
-template <typename Column>
-Status writeImageImpl(const std::string &KernelName, const Column &Names,
-                      const Column &Labels, const ProfileStore &Store,
+/// The one writer, optionally embedding routing arenas — which is what
+/// flips the written version to 4.
+Status writeImageImpl(const std::string &KernelName, const StringColumn &Names,
+                      const StringColumn &Labels, const ProfileStore &Store,
                       const RoutingArenas *Routing, std::ostream &Out) {
   if constexpr (std::endian::native != std::endian::little)
     return Status::error("flat image writer requires a little-endian host");
@@ -456,8 +451,8 @@ Status kast::validateCsrOffsets(const uint64_t *Offsets, size_t Count,
 }
 
 Status kast::writeProfileStoreImageFile(const std::string &KernelName,
-                                        const std::vector<std::string> &Names,
-                                        const std::vector<std::string> &Labels,
+                                        const StringColumn &Names,
+                                        const StringColumn &Labels,
                                         const ProfileStore &Store,
                                         const std::string &Path,
                                         const RoutingArenas *Routing) {

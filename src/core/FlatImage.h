@@ -107,7 +107,7 @@
 /// sealed segment) keeps the mapping alive, and the mapping survives
 /// unlink/rename of the path. The first mutation of the store promotes
 /// it to owned arrays and drops the image reference (see
-/// core/ProfileStore.h).
+/// core/ArenaArray.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -258,12 +258,13 @@ struct FlatImageReadOptions {
 
 /// Writes \p Store (with its names/labels, its quantized sidecar if
 /// one is built, and \p Routing when non-null: version 4) as a flat
-/// image at \p Path, staged through "<Path>.tmp". The writer emits
-/// little-endian bytes; both writer and reader require a
-/// little-endian host.
+/// image at \p Path, staged through "<Path>.tmp". The parts are passed
+/// separately so a caller holding them (ProfileIndex::save) need not
+/// copy them into a ProfileStoreCache. The writer emits little-endian
+/// bytes; both writer and reader require a little-endian host.
 Status writeProfileStoreImageFile(const std::string &KernelName,
-                                  const std::vector<std::string> &Names,
-                                  const std::vector<std::string> &Labels,
+                                  const StringColumn &Names,
+                                  const StringColumn &Labels,
                                   const ProfileStore &Store,
                                   const std::string &Path,
                                   const RoutingArenas *Routing = nullptr);

@@ -29,22 +29,12 @@
 /// (core/KernelMatrix), retrieval (index/ProfileIndex), and the
 /// on-disk flat image (core/FlatImage).
 ///
-/// Backing modes. Internally every array is addressed through a span
-/// (pointer + count), and the spans aim at one of two places:
-///
-///  - *owned*: the store's own vectors — the result of append/adopt,
-///    mutable, exactly the pre-v3 behavior;
-///  - *mapped*: an externally owned byte image (fromMapped), typically
-///    a v3 flat-image file mapped read-only by core/FlatImage. The
-///    store holds a `shared_ptr<const void>` keep-alive to the backing,
-///    so the mapping lives as long as any store (or copy of it) views
-///    into it. Restore is O(1): no arena allocation, no entry copies.
-///
-/// The first mutation of a mapped store (append/appendFrom/reserve)
-/// promotes it: the mapped spans are copied into owned vectors, the
-/// backing reference is dropped, and the mutation proceeds against the
-/// private copy — copy-on-write at store granularity. The mapping
-/// itself is never written through (it is PROT_READ anyway).
+/// Backing modes. Each of the five arrays is a core/ArenaArray: owned
+/// (the result of append, mutable) or mapped (fromMapped, a view into
+/// a flat image kept alive by the array; restore is O(1), no arena
+/// allocation, no entry copies). Copies, moves and the copy-on-write
+/// promotion on the first mutation (append/appendFrom/reserve) follow
+/// ArenaArray's rules; the mapping itself is never written through.
 ///
 /// Views are invalidated by append (the arena may reallocate); indices
 /// are stable forever.
@@ -54,6 +44,7 @@
 #ifndef KAST_CORE_PROFILESTORE_H
 #define KAST_CORE_PROFILESTORE_H
 
+#include "core/ArenaArray.h"
 #include "core/KernelProfile.h"
 
 #include <cstddef>
@@ -62,41 +53,6 @@
 #include <vector>
 
 namespace kast {
-
-/// Minimal read-only array view: the return type of the store's raw
-/// accessors, pointing either into the store's own vectors or into a
-/// mapped image. Iterable and element-comparable like the vector it
-/// replaced; does not own and does not outlive its store's next
-/// mutation.
-template <typename T> class ArrayView {
-public:
-  ArrayView() = default;
-  ArrayView(const T *Data, size_t Size) : Ptr(Data), Count(Size) {}
-  /*implicit*/ ArrayView(const std::vector<T> &V)
-      : Ptr(V.data()), Count(V.size()) {}
-
-  const T *data() const { return Ptr; }
-  size_t size() const { return Count; }
-  bool empty() const { return Count == 0; }
-  const T *begin() const { return Ptr; }
-  const T *end() const { return Ptr + Count; }
-  const T &operator[](size_t I) const { return Ptr[I]; }
-  const T &front() const { return Ptr[0]; }
-  const T &back() const { return Ptr[Count - 1]; }
-
-  friend bool operator==(const ArrayView &A, const ArrayView &B) {
-    if (A.Count != B.Count)
-      return false;
-    for (size_t I = 0; I < A.Count; ++I)
-      if (!(A.Ptr[I] == B.Ptr[I]))
-        return false;
-    return true;
-  }
-
-private:
-  const T *Ptr = nullptr;
-  size_t Count = 0;
-};
 
 /// Non-owning window onto one profile in a ProfileStore: parallel
 /// hash/value spans plus the cached self-dot and norm. Cheap to copy;
@@ -168,11 +124,10 @@ class ProfileStore;
 /// in the parent store; the sidecar only adds the 8x-smaller value
 /// arrays the approximate scan streams.
 ///
-/// Like the parent store, a sidecar is either owned (build) or a view
-/// over a mapped image (fromMapped — the v3 format persists the codes
-/// and scales so a quantized index restores without the O(entries)
-/// rebuild). A sidecar is immutable after construction, so it needs no
-/// promotion machinery; the parent drops it on append either way.
+/// Like the parent store, a sidecar's arrays are owned (build) or
+/// mapped (fromMapped — the image persists the codes and scales so a
+/// quantized index restores without the O(entries) rebuild). A sidecar
+/// is immutable after construction; the parent drops it on append.
 ///
 /// Error bound: for a query q and stored profile p,
 ///     |dot(q, p) - dotQuantized(q, p)| <= Scale/2 * sum_matches |q_i|
@@ -191,12 +146,6 @@ public:
     double Scale = 0.0;
   };
 
-  QuantizedStore() { syncOwned(); }
-  QuantizedStore(const QuantizedStore &Other);
-  QuantizedStore &operator=(const QuantizedStore &Other);
-  QuantizedStore(QuantizedStore &&Other) noexcept;
-  QuantizedStore &operator=(QuantizedStore &&Other) noexcept;
-
   /// Quantizes every profile of \p Store. Deterministic: the sidecar
   /// is a pure function of the store's contents, so it can always be
   /// rebuilt instead of persisted.
@@ -212,48 +161,34 @@ public:
                                    size_t Entries,
                                    std::shared_ptr<const void> Backing);
 
-  size_t size() const { return NumProfiles; }
+  size_t size() const { return Scales.size(); }
 
   /// Total quantized entries (== the parent store's entryCount()).
-  size_t entryCount() const { return NumEntries; }
+  size_t entryCount() const { return Values.size(); }
 
   View view(size_t I) const {
-    const size_t Begin = static_cast<size_t>(OffsetsP[I]);
-    return {ValuesP + Begin, static_cast<size_t>(OffsetsP[I + 1]) - Begin,
-            ScalesP[I]};
+    const size_t Begin = static_cast<size_t>(Offsets[I]);
+    return {Values.data() + Begin,
+            static_cast<size_t>(Offsets[I + 1]) - Begin, Scales[I]};
   }
 
-  double scale(size_t I) const { return ScalesP[I]; }
+  double scale(size_t I) const { return Scales[I]; }
 
   // Raw access for image serialization (core/FlatImage).
-  ArrayView<int8_t> values() const { return {ValuesP, NumEntries}; }
-  ArrayView<double> scales() const { return {ScalesP, NumProfiles}; }
+  ArrayView<int8_t> values() const { return Values.view(); }
+  ArrayView<double> scales() const { return Scales.view(); }
 
 private:
-  void syncOwned();
-
-  std::vector<int8_t> ValuesOwned;
-  std::vector<uint64_t> OffsetsOwned = {0};
-  std::vector<double> ScalesOwned;
-  const int8_t *ValuesP = nullptr;
-  const uint64_t *OffsetsP = nullptr;
-  const double *ScalesP = nullptr;
-  size_t NumProfiles = 0;
-  size_t NumEntries = 0;
-  /// Non-null iff the spans view an external mapping.
-  std::shared_ptr<const void> Backing;
+  ArenaArray<int8_t> Values;
+  /// The parent's CSR offsets at build time (size() + 1 entries).
+  ArenaArray<uint64_t> Offsets;
+  ArenaArray<double> Scales;
 };
 
 /// Arena of N profiles as structure-of-arrays with CSR offsets, either
 /// owning its arrays or viewing a mapped image (see file comment).
 class ProfileStore {
 public:
-  ProfileStore() { syncOwned(); }
-  ProfileStore(const ProfileStore &Other);
-  ProfileStore &operator=(const ProfileStore &Other);
-  ProfileStore(ProfileStore &&Other) noexcept;
-  ProfileStore &operator=(ProfileStore &&Other) noexcept;
-
   /// Copies a finalized profile into the arena and caches its
   /// self-dot/norm. \returns the new profile's index.
   size_t append(const KernelProfile &Profile);
@@ -275,15 +210,6 @@ public:
   /// index.
   size_t appendFrom(const ProfileStore &Other, size_t I);
 
-  /// Bulk variant of append: adopts entry arrays wholesale. Entries of each profile must be sorted
-  /// by strictly increasing hash — the finalize() invariant; use
-  /// isFinalized() to validate untrusted input first. \p Offsets must
-  /// be a CSR offset array: size N+1, leading 0, non-decreasing, last
-  /// element == Hashes.size() == Values.size().
-  static ProfileStore adopt(std::vector<uint64_t> Hashes,
-                            std::vector<double> Values,
-                            std::vector<uint64_t> Offsets);
-
   /// Non-owning construction over externally owned arrays — the v3
   /// flat-image restore path (core/FlatImage). All five arrays view
   /// \p Backing, which stays alive as long as this store or any copy
@@ -301,28 +227,28 @@ public:
   /// True while the arrays view an external mapping; false once owned
   /// (initially, or after the copy-on-write promotion a mutation
   /// triggers).
-  bool isMapped() const { return Backing != nullptr; }
+  bool isMapped() const { return Hashes.isMapped(); }
 
   /// Number of profiles stored.
-  size_t size() const { return NumProfiles; }
+  size_t size() const { return SelfDots.size(); }
   bool empty() const { return size() == 0; }
 
   /// Total (hash, value) entries across all profiles.
-  size_t entryCount() const { return NumEntries; }
+  size_t entryCount() const { return Hashes.size(); }
 
   /// The view of profile \p I; invalidated by the next append.
   ProfileView view(size_t I) const {
-    const size_t Begin = static_cast<size_t>(OffsetsP[I]);
-    return {HashesP + Begin, ValuesP + Begin,
-            static_cast<size_t>(OffsetsP[I + 1]) - Begin, SelfDotsP[I],
-            NormsP[I]};
+    const size_t Begin = static_cast<size_t>(Offsets[I]);
+    return {Hashes.data() + Begin, Values.data() + Begin,
+            static_cast<size_t>(Offsets[I + 1]) - Begin, SelfDots[I],
+            Norms[I]};
   }
 
   /// Raw self-kernel dot(p, p) of profile \p I.
-  double selfDot(size_t I) const { return SelfDotsP[I]; }
+  double selfDot(size_t I) const { return SelfDots[I]; }
 
   /// sqrt(selfDot(I)).
-  double norm(size_t I) const { return NormsP[I]; }
+  double norm(size_t I) const { return Norms[I]; }
 
   /// Pre-sizes the arena for \p Profiles profiles totaling \p Entries
   /// features, so a bulk build appends without reallocation. Counts as
@@ -334,7 +260,7 @@ public:
   KernelProfile materialize(size_t I) const;
 
   /// Checks the finalize() invariant (strictly increasing hashes) for
-  /// every profile — the validation gate for adopt() and mapped input.
+  /// every profile — the validation gate for mapped input.
   bool isFinalized() const;
 
   /// Builds (or rebuilds) the int8 quantized sidecar from the current
@@ -364,42 +290,25 @@ public:
   // cache wire width — so save/load move the blob wholesale with no
   // widen/narrow copy. The views follow the active backing (owned
   // vectors or mapped image) and are invalidated like ProfileViews.
-  ArrayView<uint64_t> hashes() const { return {HashesP, NumEntries}; }
-  ArrayView<double> values() const { return {ValuesP, NumEntries}; }
-  ArrayView<uint64_t> offsets() const { return {OffsetsP, NumProfiles + 1}; }
-  ArrayView<double> selfDots() const { return {SelfDotsP, NumProfiles}; }
-  ArrayView<double> norms() const { return {NormsP, NumProfiles}; }
+  ArrayView<uint64_t> hashes() const { return Hashes.view(); }
+  ArrayView<double> values() const { return Values.view(); }
+  ArrayView<uint64_t> offsets() const {
+    // A store that never held a profile (or was moved from) has no
+    // offset array yet; its CSR form is the lone leading 0.
+    static constexpr uint64_t Empty[1] = {0};
+    return Offsets.empty() ? ArrayView<uint64_t>(Empty, 1) : Offsets.view();
+  }
+  ArrayView<double> selfDots() const { return SelfDots.view(); }
+  ArrayView<double> norms() const { return Norms.view(); }
 
 private:
-  /// Re-aims the spans at the owned vectors and refreshes the counts
-  /// from them; called after every owned-mode mutation (push_back may
-  /// reallocate) and by construction/assignment.
-  void syncOwned();
-
-  /// Copy-on-write promotion: copies mapped spans into the owned
-  /// vectors and drops the backing. No-op when already owned.
-  void promote();
-
-  void moveFrom(ProfileStore &&Other) noexcept;
-
-  // Owned arenas; unused (kept empty/trivial) while Backing is set.
-  std::vector<uint64_t> HashesOwned;
-  std::vector<double> ValuesOwned;
-  std::vector<uint64_t> OffsetsOwned = {0};
-  std::vector<double> SelfDotsOwned;
-  std::vector<double> NormsOwned;
-
-  // Active spans: into the owned vectors, or into Backing.
-  const uint64_t *HashesP = nullptr;
-  const double *ValuesP = nullptr;
-  const uint64_t *OffsetsP = nullptr;
-  const double *SelfDotsP = nullptr;
-  const double *NormsP = nullptr;
-  size_t NumProfiles = 0;
-  size_t NumEntries = 0;
-
-  /// Keep-alive for the mapped image; non-null iff in mapped mode.
-  std::shared_ptr<const void> Backing;
+  ArenaArray<uint64_t> Hashes;
+  ArenaArray<double> Values;
+  /// CSR: size() + 1 entries once the first profile is appended (the
+  /// leading 0 is written then); empty before.
+  ArenaArray<uint64_t> Offsets;
+  ArenaArray<double> SelfDots;
+  ArenaArray<double> Norms;
 
   /// Lazily built by buildQuantized(); reset by any append (the
   /// sidecar mirrors the CSR layout, which appends change).

@@ -1,4 +1,4 @@
-//===- core/StringColumn.h - Dual-mode string storage ----------*- C++ -*-===//
+//===- core/StringColumn.h - CSR string storage ----------------*- C++ -*-===//
 //
 // Part of KAST, under the MIT License.
 //
@@ -6,24 +6,18 @@
 ///
 /// \file
 /// A column of N strings (the per-profile names and labels of a
-/// ProfileStoreCache) in the same two backing modes as ProfileStore:
-///
-///  - *owned*: a vector of std::strings — the result of push_back,
-///    mutable, exactly the pre-v4 behavior;
-///  - *mapped*: a CSR view over an externally owned byte image — the
-///    (N+1) u64 offset table and character blob of a flat image's
-///    NAMES/LABELS section, kept alive through a shared_ptr backing.
+/// ProfileStoreCache, a ProfileIndex or a service segment) in one
+/// representation: (N+1) u64 CSR offsets into a byte blob — the layout
+/// of a flat image's NAMES/LABELS section. Both arrays are
+/// core/ArenaArrays, so a column is owned (push_back) or maps the
+/// section of an image it was read from (fromMapped), and copies,
+/// moves and the copy-on-write promotion on the first mutation follow
+/// ArenaArray's rules; the mapping is never written through.
 ///
 /// The mapped mode is what makes flat-image opens lazy about strings:
 /// the reader validates the offset table once and hands back views;
-/// no std::string is materialized until someone actually reads a name
-/// (operator[] returns a string_view straight into the mapping).
-/// For a service restart that answers queries, that is the difference
-/// between O(N) small allocations at open and zero.
-///
-/// The first mutation (push_back) of a mapped column promotes it to
-/// owned strings, mirroring ProfileStore's copy-on-write promotion;
-/// the mapping itself is never written through.
+/// operator[] returns a string_view straight into the blob, so for a
+/// restart that answers queries no name costs an allocation at open.
 ///
 /// std::hash<std::string_view> and std::hash<std::string> are
 /// guaranteed to agree on equal character sequences, so name-hash
@@ -33,6 +27,8 @@
 
 #ifndef KAST_CORE_STRINGCOLUMN_H
 #define KAST_CORE_STRINGCOLUMN_H
+
+#include "core/ArenaArray.h"
 
 #include <cstddef>
 #include <cstdint>
@@ -46,95 +42,66 @@ namespace kast {
 class StringColumn {
 public:
   StringColumn() = default;
-  /*implicit*/ StringColumn(std::vector<std::string> Strings)
-      : Owned(std::move(Strings)), Count(Owned.size()) {}
+  /*implicit*/ StringColumn(const std::vector<std::string> &Strings) {
+    reserve(Strings.size());
+    for (const std::string &S : Strings)
+      push_back(S);
+  }
 
   /// Non-owning construction over a validated string table: \p Offsets
   /// is (Count+1) u64s (leading 0, non-decreasing), \p Blob the
-  /// concatenated bytes, both alive through \p Backing. The flat-image
-  /// reader validates the table before calling in.
+  /// concatenated Offsets[Count] bytes, both alive through \p Backing.
+  /// The flat-image reader validates the table before calling in.
   static StringColumn fromMapped(const uint64_t *Offsets, const char *Blob,
                                  size_t Count,
                                  std::shared_ptr<const void> Backing) {
     StringColumn C;
-    C.OffsetsP = Offsets;
-    C.BlobP = Blob;
-    C.Count = Count;
-    C.Backing = std::move(Backing);
+    C.Offsets = ArenaArray<uint64_t>::mapped({Offsets, Count + 1}, Backing);
+    C.Blob = ArenaArray<char>::mapped(
+        {Blob, static_cast<size_t>(Offsets[Count])}, std::move(Backing));
     return C;
   }
 
-  size_t size() const { return Count; }
-  bool empty() const { return Count == 0; }
+  /// An empty column has no offset table yet (the leading 0 is written
+  /// by the first push_back).
+  size_t size() const { return Offsets.empty() ? 0 : Offsets.size() - 1; }
+  bool empty() const { return size() == 0; }
 
   /// True while the column views an external mapping; false once owned
-  /// (initially, or after the promotion a push_back triggers).
-  bool isMapped() const { return Backing != nullptr; }
+  /// (initially, or after the promotion a mutation triggers).
+  bool isMapped() const { return Offsets.isMapped() || Blob.isMapped(); }
 
-  /// The string at \p I, decoded on access: a view into the mapping
-  /// (mapped mode) or into the owned std::string (owned mode). Valid
-  /// until the next mutation of this column.
+  /// The string at \p I: a view into the blob, valid until the next
+  /// mutation of this column.
   std::string_view operator[](size_t I) const {
-    if (Backing) {
-      const size_t Begin = static_cast<size_t>(OffsetsP[I]);
-      return {BlobP + Begin, static_cast<size_t>(OffsetsP[I + 1]) - Begin};
-    }
-    return Owned[I];
+    const size_t Begin = static_cast<size_t>(Offsets[I]);
+    return {Blob.data() + Begin, static_cast<size_t>(Offsets[I + 1]) - Begin};
   }
 
   /// Materialized copy of the string at \p I.
   std::string str(size_t I) const { return std::string((*this)[I]); }
 
-  /// Appends a string; promotes a mapped column to owned first.
+  /// Appends a string, which must not view this column.
   void push_back(std::string_view S) {
-    promote();
-    Owned.emplace_back(S);
-    Count = Owned.size();
+    if (Offsets.empty())
+      Offsets.push_back(0);
+    Blob.append(S.data(), S.data() + S.size());
+    Offsets.push_back(Blob.size());
   }
 
-  /// Drops the last string; promotes a mapped column to owned first.
+  /// Drops the last string.
   void pop_back() {
-    promote();
-    Owned.pop_back();
-    Count = Owned.size();
+    Offsets.pop_back();
+    Blob.resize(static_cast<size_t>(Offsets.back()));
   }
 
-  void clear() {
-    Owned.clear();
-    OffsetsP = nullptr;
-    BlobP = nullptr;
-    Count = 0;
-    Backing.reset();
-  }
-
-  void reserve(size_t N) {
-    promote();
-    Owned.reserve(N);
-  }
-
-  /// All strings materialized — the compatibility seam for callers
-  /// that still hold vector<std::string> (ProfileIndex).
-  std::vector<std::string> toVector() const {
-    std::vector<std::string> Out;
-    Out.reserve(Count);
-    for (size_t I = 0; I < Count; ++I)
-      Out.emplace_back((*this)[I]);
-    return Out;
-  }
-
-  /// toVector() that moves owned strings out instead of copying
-  /// (mapped columns still materialize); the column is left empty.
-  std::vector<std::string> takeVector() {
-    promote();
-    std::vector<std::string> Out = std::move(Owned);
-    clear();
-    return Out;
-  }
+  /// Pre-sizes the offset table for \p N strings.
+  void reserve(size_t N) { Offsets.reserve(N + 1); }
 
   friend bool operator==(const StringColumn &A, const StringColumn &B) {
-    if (A.Count != B.Count)
+    if (A.size() != B.size())
       return false;
-    for (size_t I = 0; I < A.Count; ++I)
+    for (size_t I = 0; I < A.size(); ++I)
       if (A[I] != B[I])
         return false;
     return true;
@@ -142,9 +109,9 @@ public:
 
   friend bool operator==(const StringColumn &A,
                          const std::vector<std::string> &B) {
-    if (A.Count != B.size())
+    if (A.size() != B.size())
       return false;
-    for (size_t I = 0; I < A.Count; ++I)
+    for (size_t I = 0; I < A.size(); ++I)
       if (A[I] != B[I])
         return false;
     return true;
@@ -155,27 +122,8 @@ public:
   }
 
 private:
-  /// Copy-on-write promotion: materializes mapped strings into owned
-  /// std::strings and drops the backing. No-op when already owned.
-  void promote() {
-    if (!Backing)
-      return;
-    Owned.reserve(Count);
-    for (size_t I = 0; I < Count; ++I)
-      Owned.emplace_back((*this)[I]);
-    OffsetsP = nullptr;
-    BlobP = nullptr;
-    Backing.reset();
-  }
-
-  // Owned strings; unused (kept empty) while Backing is set.
-  std::vector<std::string> Owned;
-  // Mapped view: CSR offsets + character blob into Backing.
-  const uint64_t *OffsetsP = nullptr;
-  const char *BlobP = nullptr;
-  size_t Count = 0;
-  /// Non-null iff the views aim at an external mapping.
-  std::shared_ptr<const void> Backing;
+  ArenaArray<uint64_t> Offsets;
+  ArenaArray<char> Blob;
 };
 
 } // namespace kast

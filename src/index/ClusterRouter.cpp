@@ -107,9 +107,8 @@ ClusterRouter ClusterRouter::fromArenas(ProfileStore Centroids,
                                         std::shared_ptr<const void> Backing) {
   ClusterRouter Router;
   Router.Centroids = std::move(Centroids);
-  Router.AssignmentsP = Assignments.data();
-  Router.NumAssigned = Assignments.size();
-  Router.Backing = std::move(Backing);
+  Router.Assignments =
+      ArenaArray<uint32_t>::mapped(Assignments, std::move(Backing));
   return Router;
 }
 
@@ -186,28 +185,14 @@ ClusterRouter ClusterRouter::build(const ProfileStore &Store,
   }
 
   // Final assignment covers every profile, sampled or not.
-  Router.AssignmentsOwned.assign(N, 0);
+  std::vector<uint32_t> Assign(N, 0);
   parallelFor(
       N,
-      [&](size_t I) {
-        Router.AssignmentsOwned[I] = nearestCentroid(Centroids, Store.view(I));
-      },
+      [&](size_t I) { Assign[I] = nearestCentroid(Centroids, Store.view(I)); },
       Threads);
-  Router.syncOwned();
+  Router.Assignments = std::move(Assign);
   Router.Centroids = std::move(Centroids);
   return Router;
-}
-
-std::vector<uint32_t> ClusterRouter::route(const KernelProfile &Query,
-                                           size_t NProbe) const {
-  // One-off convenience shape: flatten and delegate, so both entry
-  // points share one sweep (and its vectorized dot). Batch callers use
-  // the scratch overload directly and skip the per-call allocations.
-  const FlatProfile Flat(Query);
-  std::vector<std::pair<double, uint32_t>> Scored;
-  std::vector<uint32_t> Probes;
-  route(Flat, NProbe, Scored, Probes);
-  return Probes;
 }
 
 void ClusterRouter::route(const FlatProfile &Query, size_t NProbe,

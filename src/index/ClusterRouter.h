@@ -80,25 +80,18 @@ public:
   /// router views \p Assignments and the mapped \p Centroids for as
   /// long as \p Backing keeps them alive. The caller (the flat-image
   /// reader) has already range-checked every assignment against the
-  /// centroid count. A router is immutable after construction, so
-  /// unlike ProfileStore there is no promotion path; replacing the
-  /// routing (rebuildRouting/compact) builds a fresh owned router.
+  /// centroid count.
   static ClusterRouter fromArenas(ProfileStore Centroids,
                                   ArrayView<uint32_t> Assignments,
                                   std::shared_ptr<const void> Backing);
 
-  /// True while assignments() views externally owned memory.
-  bool isMapped() const { return Backing != nullptr; }
-
   size_t numCentroids() const { return Centroids.size(); }
-  size_t numProfiles() const { return NumAssigned; }
-  bool empty() const { return NumAssigned == 0; }
+  size_t numProfiles() const { return Assignments.size(); }
+  bool empty() const { return Assignments.empty(); }
 
   /// Assignments[I] is the centroid id of profile I, in [0,
   /// numCentroids()).
-  ArrayView<uint32_t> assignments() const {
-    return {AssignmentsP, NumAssigned};
-  }
+  ArrayView<uint32_t> assignments() const { return Assignments.view(); }
 
   /// The unit-normalized centroid vectors.
   const ProfileStore &centroids() const { return Centroids; }
@@ -107,81 +100,20 @@ public:
   /// \p Query (cosine over the unit centroids), most similar first;
   /// ties break toward the lower id. NProbe == 0 probes every
   /// centroid — the exhaustive mode differential tests pin against
-  /// the exact scan.
-  std::vector<uint32_t> route(const KernelProfile &Query,
-                              size_t NProbe) const;
-
-  /// route() for a flattened query with caller-owned scratch: the
-  /// centroid sweep scores through \p Scored (reused across a batch,
-  /// so a warm query allocates nothing) and the vectorized exact dot
-  /// (util/SimdDot) instead of N separate merge joins over interleaved
-  /// entries. Probe ids land in \p Probes, most similar first —
-  /// identical to route()'s, since the flattened dot is bit-identical.
+  /// the exact scan. The sweep scores through \p Scored (caller-owned,
+  /// reused across a batch, so a warm query allocates nothing) with
+  /// the vectorized exact dot (util/SimdDot); probe ids land in
+  /// \p Probes.
   void route(const FlatProfile &Query, size_t NProbe,
              std::vector<std::pair<double, uint32_t>> &Scored,
              std::vector<uint32_t> &Probes) const;
 
-  // Assignments live in AssignmentsOwned (built/read routers) or in an
-  // external arena through Backing (mapped routers); either way the
-  // active storage is (AssignmentsP, NumAssigned), so copies and moves
-  // must re-aim the pointer — memberwise defaults would leave it at
-  // the source's vector.
-  ClusterRouter(const ClusterRouter &Other) { copyFrom(Other); }
-  ClusterRouter &operator=(const ClusterRouter &Other) {
-    if (this != &Other)
-      copyFrom(Other);
-    return *this;
-  }
-  ClusterRouter(ClusterRouter &&Other) noexcept { moveFrom(Other); }
-  ClusterRouter &operator=(ClusterRouter &&Other) noexcept {
-    if (this != &Other)
-      moveFrom(Other);
-    return *this;
-  }
-
 private:
-  /// Re-aims the active pointer at the owned vector.
-  void syncOwned() {
-    AssignmentsP = AssignmentsOwned.data();
-    NumAssigned = AssignmentsOwned.size();
-  }
-  void copyFrom(const ClusterRouter &Other) {
-    Centroids = Other.Centroids;
-    Backing = Other.Backing;
-    if (Other.Backing) {
-      // Mapped: share the views (O(1), like ProfileStore's mapped
-      // copies).
-      AssignmentsOwned.clear();
-      AssignmentsP = Other.AssignmentsP;
-      NumAssigned = Other.NumAssigned;
-    } else {
-      AssignmentsOwned = Other.AssignmentsOwned;
-      syncOwned();
-    }
-  }
-  void moveFrom(ClusterRouter &Other) {
-    Centroids = std::move(Other.Centroids);
-    Backing = std::move(Other.Backing);
-    if (Backing) {
-      AssignmentsOwned.clear();
-      AssignmentsP = Other.AssignmentsP;
-      NumAssigned = Other.NumAssigned;
-    } else {
-      AssignmentsOwned = std::move(Other.AssignmentsOwned);
-      syncOwned();
-    }
-    Other.AssignmentsOwned.clear();
-    Other.AssignmentsP = nullptr;
-    Other.NumAssigned = 0;
-    Other.Backing.reset();
-  }
-
+  // Owned (build) or mapped (fromArenas) per core/ArenaArray. A router
+  // is immutable after construction: replacing the routing
+  // (rebuildRouting/compact) builds a fresh one.
   ProfileStore Centroids;
-  std::vector<uint32_t> AssignmentsOwned;
-  const uint32_t *AssignmentsP = nullptr;
-  size_t NumAssigned = 0;
-  /// Non-null iff the assignment view aims at an external arena.
-  std::shared_ptr<const void> Backing;
+  ArenaArray<uint32_t> Assignments;
 };
 
 } // namespace kast

@@ -199,7 +199,7 @@ size_t IndexSnapshot::routedShardCount() const {
 
 std::string IndexSnapshot::majorityLabel(const std::vector<ServiceHit> &Hits) {
   return detail::majorityVote(
-      Hits.size(), [&](size_t I) -> const std::string & { return Hits[I].Label; });
+      Hits.size(), [&](size_t I) -> std::string_view { return Hits[I].Label; });
 }
 
 //===----------------------------------------------------------------------===//

@@ -32,80 +32,6 @@ uint64_t postingRebuildCount() {
   return PostingRebuilds.load(std::memory_order_relaxed);
 }
 
-void InvertedIndex::syncOwned() {
-  FeatureHashes = FeatureHashesOwned;
-  ClusterBegin = ClusterBeginOwned;
-  PostingBegin = PostingBeginOwned;
-  PostingIds = PostingIdsOwned;
-  PostingValues = PostingValuesOwned;
-  Backing.reset();
-}
-
-void InvertedIndex::copyFrom(const InvertedIndex &Other) {
-  NumProfiles = Other.NumProfiles;
-  PrunedFeatures = Other.PrunedFeatures;
-  if (Other.Backing) {
-    // Mapped: share the views (O(1), like ProfileStore's mapped
-    // copies).
-    FeatureHashesOwned.clear();
-    ClusterBeginOwned.clear();
-    PostingBeginOwned.clear();
-    PostingIdsOwned.clear();
-    PostingValuesOwned.clear();
-    FeatureHashes = Other.FeatureHashes;
-    ClusterBegin = Other.ClusterBegin;
-    PostingBegin = Other.PostingBegin;
-    PostingIds = Other.PostingIds;
-    PostingValues = Other.PostingValues;
-    Backing = Other.Backing;
-  } else {
-    FeatureHashesOwned = Other.FeatureHashesOwned;
-    ClusterBeginOwned = Other.ClusterBeginOwned;
-    PostingBeginOwned = Other.PostingBeginOwned;
-    PostingIdsOwned = Other.PostingIdsOwned;
-    PostingValuesOwned = Other.PostingValuesOwned;
-    syncOwned();
-  }
-}
-
-void InvertedIndex::moveFrom(InvertedIndex &Other) {
-  NumProfiles = Other.NumProfiles;
-  PrunedFeatures = Other.PrunedFeatures;
-  Backing = std::move(Other.Backing);
-  if (Backing) {
-    FeatureHashesOwned.clear();
-    ClusterBeginOwned.clear();
-    PostingBeginOwned.clear();
-    PostingIdsOwned.clear();
-    PostingValuesOwned.clear();
-    FeatureHashes = Other.FeatureHashes;
-    ClusterBegin = Other.ClusterBegin;
-    PostingBegin = Other.PostingBegin;
-    PostingIds = Other.PostingIds;
-    PostingValues = Other.PostingValues;
-  } else {
-    FeatureHashesOwned = std::move(Other.FeatureHashesOwned);
-    ClusterBeginOwned = std::move(Other.ClusterBeginOwned);
-    PostingBeginOwned = std::move(Other.PostingBeginOwned);
-    PostingIdsOwned = std::move(Other.PostingIdsOwned);
-    PostingValuesOwned = std::move(Other.PostingValuesOwned);
-    syncOwned();
-  }
-  Other.NumProfiles = 0;
-  Other.PrunedFeatures = 0;
-  Other.FeatureHashesOwned.clear();
-  Other.ClusterBeginOwned.clear();
-  Other.PostingBeginOwned.clear();
-  Other.PostingIdsOwned.clear();
-  Other.PostingValuesOwned.clear();
-  Other.FeatureHashes = {};
-  Other.ClusterBegin = {};
-  Other.PostingBegin = {};
-  Other.PostingIds = {};
-  Other.PostingValues = {};
-  Other.Backing.reset();
-}
-
 InvertedIndex InvertedIndex::fromArenas(size_t Covered, size_t PrunedFeatures,
                                         ArrayView<uint64_t> FeatureHashes,
                                         ArrayView<uint64_t> ClusterBegin,
@@ -116,12 +42,12 @@ InvertedIndex InvertedIndex::fromArenas(size_t Covered, size_t PrunedFeatures,
   InvertedIndex Index;
   Index.NumProfiles = Covered;
   Index.PrunedFeatures = PrunedFeatures;
-  Index.FeatureHashes = FeatureHashes;
-  Index.ClusterBegin = ClusterBegin;
-  Index.PostingBegin = PostingBegin;
-  Index.PostingIds = PostingIds;
-  Index.PostingValues = PostingValues;
-  Index.Backing = std::move(Backing);
+  Index.FeatureHashes = ArenaArray<uint64_t>::mapped(FeatureHashes, Backing);
+  Index.ClusterBegin = ArenaArray<uint64_t>::mapped(ClusterBegin, Backing);
+  Index.PostingBegin = ArenaArray<uint64_t>::mapped(PostingBegin, Backing);
+  Index.PostingIds = ArenaArray<uint32_t>::mapped(PostingIds, Backing);
+  Index.PostingValues =
+      ArenaArray<double>::mapped(PostingValues, std::move(Backing));
   return Index;
 }
 
@@ -134,11 +60,13 @@ InvertedIndex InvertedIndex::build(const ProfileStore &Store,
   InvertedIndex Index;
   const size_t N = Assignments.size();
   Index.NumProfiles = N;
-  Index.ClusterBeginOwned.assign(NumClusters + 1, 0);
-  Index.PostingBeginOwned.assign(1, 0);
-  Index.syncOwned();
-  if (N == 0 || NumClusters == 0)
+  std::vector<uint64_t> ClusterBegin(NumClusters + 1, 0);
+  std::vector<uint64_t> PostingBegin(1, 0);
+  if (N == 0 || NumClusters == 0) {
+    Index.ClusterBegin = std::move(ClusterBegin);
+    Index.PostingBegin = std::move(PostingBegin);
     return Index;
+  }
 
   // Document frequency per feature. Profiles are finalized (hashes
   // strictly ascending within a profile), so every occurrence is a
@@ -170,6 +98,9 @@ InvertedIndex InvertedIndex::build(const ProfileStore &Store,
     Members[Assignments[I]].push_back(static_cast<uint32_t>(I));
   }
 
+  std::vector<uint64_t> FeatureHashes;
+  std::vector<uint32_t> PostingIds;
+  std::vector<double> PostingValues;
   std::vector<Posting> Postings;
   for (size_t C = 0; C < NumClusters; ++C) {
     Postings.clear();
@@ -191,42 +122,28 @@ InvertedIndex InvertedIndex::build(const ProfileStore &Store,
               });
     for (size_t P = 0; P < Postings.size(); ++P) {
       if (P == 0 || Postings[P].Hash != Postings[P - 1].Hash) {
-        Index.FeatureHashesOwned.push_back(Postings[P].Hash);
-        Index.PostingBeginOwned.push_back(Index.PostingIdsOwned.size());
+        FeatureHashes.push_back(Postings[P].Hash);
+        PostingBegin.push_back(PostingIds.size());
       }
-      Index.PostingIdsOwned.push_back(Postings[P].Id);
-      Index.PostingValuesOwned.push_back(Postings[P].Value);
-      Index.PostingBeginOwned.back() = Index.PostingIdsOwned.size();
+      PostingIds.push_back(Postings[P].Id);
+      PostingValues.push_back(Postings[P].Value);
+      PostingBegin.back() = PostingIds.size();
     }
-    Index.ClusterBeginOwned[C + 1] = Index.FeatureHashesOwned.size();
+    ClusterBegin[C + 1] = FeatureHashes.size();
   }
-  Index.syncOwned();
+  Index.FeatureHashes = std::move(FeatureHashes);
+  Index.ClusterBegin = std::move(ClusterBegin);
+  Index.PostingBegin = std::move(PostingBegin);
+  Index.PostingIds = std::move(PostingIds);
+  Index.PostingValues = std::move(PostingValues);
   return Index;
-}
-
-void InvertedIndex::collectCandidates(const KernelProfile &Query,
-                                      const std::vector<uint32_t> &Probes,
-                                      InvertedScratch &S) const {
-  const auto &Entries = Query.entries();
-  collectImpl(
-      Entries.size(), [&](size_t Q) { return Entries[Q].Hash; },
-      [&](size_t Q) { return Entries[Q].Value; }, Probes, S);
 }
 
 void InvertedIndex::collectCandidates(const FlatProfile &Query,
                                       const std::vector<uint32_t> &Probes,
                                       InvertedScratch &S) const {
-  collectImpl(
-      Query.size(), [&](size_t Q) { return Query.Hashes[Q]; },
-      [&](size_t Q) { return Query.Values[Q]; }, Probes, S);
-}
-
-template <typename HashAt, typename ValueAt>
-void InvertedIndex::collectImpl(size_t QuerySize, HashAt QueryHash,
-                                ValueAt QueryValue,
-                                const std::vector<uint32_t> &Probes,
-                                InvertedScratch &S) const {
   assert(S.Epoch.size() == NumProfiles && "call S.begin(numProfiles()) first");
+  const size_t QuerySize = Query.size();
   if (QuerySize == 0)
     return;
   for (uint32_t C : Probes) {
@@ -238,14 +155,14 @@ void InvertedIndex::collectImpl(size_t QuerySize, HashAt QueryHash,
     // Merge-join the query's (sorted) feature hashes against this
     // cluster's (sorted) surviving features.
     while (Q < QuerySize && F < FEnd) {
-      const uint64_t QHash = QueryHash(Q);
+      const uint64_t QHash = Query.Hashes[Q];
       const uint64_t FHash = FeatureHashes[F];
       if (QHash < FHash) {
         ++Q;
       } else if (FHash < QHash) {
         ++F;
       } else {
-        const double QValue = QueryValue(Q);
+        const double QValue = Query.Values[Q];
         for (size_t P = PostingBegin[F]; P < PostingBegin[F + 1]; ++P) {
           const uint32_t Id = PostingIds[P];
           // A mapped arena that skipped deep validation could carry a

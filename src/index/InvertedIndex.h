@@ -34,7 +34,6 @@
 #ifndef KAST_INDEX_INVERTEDINDEX_H
 #define KAST_INDEX_INVERTEDINDEX_H
 
-#include "core/KernelProfile.h"
 #include "core/ProfileStore.h"
 #include "index/ClusterRouter.h"
 
@@ -144,9 +143,7 @@ public:
   /// shape (ClusterBegin/PostingBegin monotonic, final elements equal
   /// to the array totals); posting ids are additionally clamped at
   /// query time, so even a deep-validation-skipping open cannot write
-  /// out of scratch bounds. Like ClusterRouter, an index is immutable
-  /// after construction — replacement, not promotion, is the mutation
-  /// path.
+  /// out of scratch bounds.
   static InvertedIndex fromArenas(size_t Covered, size_t PrunedFeatures,
                                   ArrayView<uint64_t> FeatureHashes,
                                   ArrayView<uint64_t> ClusterBegin,
@@ -154,9 +151,6 @@ public:
                                   ArrayView<uint32_t> PostingIds,
                                   ArrayView<double> PostingValues,
                                   std::shared_ptr<const void> Backing);
-
-  /// True while the posting arrays view externally owned memory.
-  bool isMapped() const { return Backing != nullptr; }
 
   size_t numProfiles() const { return NumProfiles; }
   size_t numClusters() const {
@@ -169,85 +163,39 @@ public:
 
   // The flat arenas, for serialization (core/FlatImage sections) —
   // views into this index, valid while it lives.
-  ArrayView<uint64_t> featureHashes() const { return FeatureHashes; }
-  ArrayView<uint64_t> clusterBegin() const { return ClusterBegin; }
-  ArrayView<uint64_t> postingBegin() const { return PostingBegin; }
-  ArrayView<uint32_t> postingIds() const { return PostingIds; }
-  ArrayView<double> postingValues() const { return PostingValues; }
+  ArrayView<uint64_t> featureHashes() const { return FeatureHashes.view(); }
+  ArrayView<uint64_t> clusterBegin() const { return ClusterBegin.view(); }
+  ArrayView<uint64_t> postingBegin() const { return PostingBegin.view(); }
+  ArrayView<uint32_t> postingIds() const { return PostingIds.view(); }
+  ArrayView<double> postingValues() const { return PostingValues.view(); }
 
   /// Marks every profile of the probed clusters sharing a surviving
   /// feature with \p Query into \p S (first-touch order) and
-  /// accumulates its partial score. \p Probes are cluster ids (from
-  /// ClusterRouter::route); out-of-range ids are ignored. The caller
-  /// must have called S.begin(numProfiles()).
-  void collectCandidates(const KernelProfile &Query,
-                         const std::vector<uint32_t> &Probes,
-                         InvertedScratch &S) const;
-
-  /// collectCandidates for a flattened query: merge-joins the dense
-  /// hash array instead of striding interleaved entries. Same marks,
-  /// same accumulation order, same results.
+  /// accumulates its partial score, merge-joining the query's dense
+  /// hash array against each probed cluster's features. \p Probes are
+  /// cluster ids (from ClusterRouter::route); out-of-range ids are
+  /// ignored. The caller must have called S.begin(numProfiles()).
   void collectCandidates(const FlatProfile &Query,
                          const std::vector<uint32_t> &Probes,
                          InvertedScratch &S) const;
 
 private:
-  /// The shared merge-join behind both collectCandidates overloads,
-  /// parameterized over the query's element accessors (AoS entries or
-  /// dense flattened arrays). Defined in the .cpp — only instantiated
-  /// there.
-  template <typename HashAt, typename ValueAt>
-  void collectImpl(size_t QuerySize, HashAt QueryHash, ValueAt QueryValue,
-                   const std::vector<uint32_t> &Probes,
-                   InvertedScratch &S) const;
-
-  /// Re-aims the active views at the owned vectors (after build or a
-  /// deep copy).
-  void syncOwned();
-  void copyFrom(const InvertedIndex &Other);
-  void moveFrom(InvertedIndex &Other);
-
   size_t NumProfiles = 0;
   size_t PrunedFeatures = 0;
-  // The canonical representation is one contiguous CSR arena per
-  // array, addressed through the non-owning views below — the same
-  // dual-mode layout ProfileStore uses. Built indices own their
-  // storage in the *Owned vectors; mapped indices (fromArenas) view an
-  // external image kept alive by Backing and leave the vectors empty.
-  std::vector<uint64_t> FeatureHashesOwned;
-  std::vector<uint64_t> ClusterBeginOwned;
-  std::vector<uint64_t> PostingBeginOwned;
-  std::vector<uint32_t> PostingIdsOwned;
-  std::vector<double> PostingValuesOwned;
+  // One contiguous CSR arena per array, owned (build) or mapped
+  // (fromArenas) per core/ArenaArray. An index is immutable after
+  // construction: replacement, not mutation, is the update path.
   /// Distinct surviving feature hashes, cluster-major, sorted within
   /// each cluster (merge-joinable against a finalized query).
-  ArrayView<uint64_t> FeatureHashes;
+  ArenaArray<uint64_t> FeatureHashes;
   /// CSR: cluster C's features span FeatureHashes[ClusterBegin[C],
   /// ClusterBegin[C+1]).
-  ArrayView<uint64_t> ClusterBegin;
+  ArenaArray<uint64_t> ClusterBegin;
   /// CSR: feature F's postings span [PostingBegin[F],
   /// PostingBegin[F+1]) of PostingIds/PostingValues.
-  ArrayView<uint64_t> PostingBegin;
-  ArrayView<uint32_t> PostingIds;
-  ArrayView<double> PostingValues;
-  /// Non-null iff the views aim at an external arena.
-  std::shared_ptr<const void> Backing;
-
-public:
-  // Views must follow the storage on copy/move (memberwise defaults
-  // would alias the source's vectors), mirroring QuantizedStore.
-  InvertedIndex(const InvertedIndex &Other) { copyFrom(Other); }
-  InvertedIndex &operator=(const InvertedIndex &Other) {
-    if (this != &Other)
-      copyFrom(Other);
-    return *this;
-  }
-  InvertedIndex(InvertedIndex &&Other) noexcept { moveFrom(Other); }
-  InvertedIndex &operator=(InvertedIndex &&Other) noexcept {
-    if (this != &Other)
-      moveFrom(Other);
-    return *this;
-  }
+  ArenaArray<uint64_t> PostingBegin;
+  ArenaArray<uint32_t> PostingIds;
+  ArenaArray<double> PostingValues;
 };
 
 } // namespace kast

@@ -34,11 +34,8 @@ ProfileIndex ProfileIndex::build(const ProfiledStringKernel &Kernel,
 
 ProfileIndex ProfileIndex::fromStoreCache(ProfileStoreCache Cache) {
   ProfileIndex Index(std::move(Cache.KernelName));
-  // The cache's columns may be lazy views over a mapped image;
-  // ProfileIndex mutates its name/label lists (add()), so it
-  // materializes them up front rather than holding views.
-  Index.Names = Cache.Names.takeVector();
-  Index.Labels = Cache.Labels.takeVector();
+  Index.Names = std::move(Cache.Names);
+  Index.Labels = std::move(Cache.Labels);
   Index.Store = std::move(Cache.Store);
   if (Cache.Routing) {
     Index.Routing =
@@ -51,11 +48,11 @@ ProfileIndex ProfileIndex::fromStoreCache(ProfileStoreCache Cache) {
   return Index;
 }
 
-void ProfileIndex::add(std::string Name, std::string Label,
+void ProfileIndex::add(std::string_view Name, std::string_view Label,
                        const KernelProfile &Profile) {
   Store.append(Profile);
-  Names.push_back(std::move(Name));
-  Labels.push_back(std::move(Label));
+  Names.push_back(Name);
+  Labels.push_back(Label);
 }
 
 /// Runs \p Queries through the index's scorer; one per-query result.
@@ -122,7 +119,7 @@ ProfileIndex::majorityLabel(const std::vector<Neighbor> &Neighbors) const {
   // tie-break therefore lands on the nearer neighbor's label.
   return detail::majorityVote(
       Neighbors.size(),
-      [&](size_t I) -> const std::string & { return Labels[Neighbors[I].Index]; });
+      [&](size_t I) { return Labels[Neighbors[I].Index]; });
 }
 
 Status ProfileIndex::save(const std::string &Path) const {

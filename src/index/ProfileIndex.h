@@ -29,6 +29,7 @@
 
 #include "core/FlatImage.h"
 #include "core/ProfileStore.h"
+#include "core/StringColumn.h"
 #include "core/StringKernel.h"
 #include "index/SegmentScorer.h"
 #include "util/Error.h"
@@ -45,7 +46,7 @@ namespace kast {
 namespace detail {
 
 /// Single-pass majority vote over \p Count labels addressed
-/// most-similar-first by \p LabelAt (an index → const std::string&
+/// most-similar-first by \p LabelAt (an index → std::string_view
 /// callable). The winner is the label with the highest total count;
 /// ties break toward the label whose first occurrence is nearest —
 /// the contract ProfileIndex::majorityLabel and
@@ -60,7 +61,7 @@ std::string majorityVote(size_t Count, LabelAtFn LabelAt) {
   std::unordered_map<std::string_view, size_t> Slots;
   std::vector<std::pair<std::string_view, size_t>> Counts;
   for (size_t I = 0; I < Count; ++I) {
-    const std::string &Label = LabelAt(I);
+    const std::string_view Label = LabelAt(I);
     auto [It, Inserted] = Slots.try_emplace(Label, Counts.size());
     if (Inserted)
       Counts.push_back({Label, 0});
@@ -94,23 +95,27 @@ public:
                             const std::vector<std::string> &Labels = {},
                             size_t Threads = 0);
 
-  /// Adopts an in-memory arena cache: the store moves in wholesale (a
-  /// mapped store stays mapped until the first add()), and
-  /// Cache.Routing, when present, becomes the routing tier by view —
-  /// no k-means fit, no posting rebuild. Cache.Routing must cover at
-  /// most Cache.Store.size() profiles, as every image read guarantees.
+  /// Adopts an in-memory arena cache: the store and the name/label
+  /// columns move in wholesale (mapped ones stay mapped until the
+  /// first add()), and Cache.Routing, when present, becomes the
+  /// routing tier by view — no k-means fit, no posting rebuild.
+  /// Cache.Routing must cover at most Cache.Store.size() profiles, as
+  /// every image read guarantees.
   static ProfileIndex fromStoreCache(ProfileStoreCache Cache);
 
   /// Appends one finalized profile (copied into the arena).
-  void add(std::string Name, std::string Label,
+  void add(std::string_view Name, std::string_view Label,
            const KernelProfile &Profile);
 
   size_t size() const { return Store.size(); }
   bool empty() const { return Store.empty(); }
 
   const std::string &kernelName() const { return KernelName; }
-  const std::string &name(size_t I) const { return Names[I]; }
-  const std::string &label(size_t I) const { return Labels[I]; }
+  /// Name and label of entry \p I: views into the index's columns
+  /// (into the mapping, for a load()ed index), valid until the next
+  /// add().
+  std::string_view name(size_t I) const { return Names[I]; }
+  std::string_view label(size_t I) const { return Labels[I]; }
 
   /// The arena view of entry \p I; invalidated by the next add().
   ProfileView view(size_t I) const { return Store.view(I); }
@@ -201,8 +206,8 @@ public:
 
 private:
   std::string KernelName;
-  std::vector<std::string> Names;
-  std::vector<std::string> Labels;
+  StringColumn Names;
+  StringColumn Labels;
   ProfileStore Store;
   std::shared_ptr<const detail::IndexRouting> Routing;
 

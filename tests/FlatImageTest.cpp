@@ -26,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -303,6 +304,14 @@ TEST(FlatImageTest, WriterPromotionLeavesTheImageUntouched) {
   ASSERT_TRUE(Again.hasValue()) << Again.message();
   EXPECT_EQ(Again->Store.size(), Cache.Store.size());
   expectStoresBitExact(Again->Store, Cache.Store);
+
+  // Appending an empty profile adds no entries, but it is a mutation
+  // all the same: every array leaves the mapping.
+  Again->Store.append(KernelProfile());
+  EXPECT_FALSE(Again->Store.isMapped());
+  EXPECT_EQ(Again->Store.size(), Cache.Store.size() + 1);
+  EXPECT_EQ(Again->Store.entryCount(), Cache.Store.entryCount());
+  EXPECT_EQ(readFileBytes(Path), Before);
 }
 
 TEST(FlatImageTest, RewritingAnImageFromItsOwnMappingIsSafe) {
@@ -494,6 +503,110 @@ TEST(FlatImageTest, RejectsCorruptCsrOffsets) {
   Expected<ProfileStoreCache> E = readProfileStoreImageFile(Path);
   ASSERT_FALSE(E.hasValue());
   EXPECT_NE(E.message().find("offsets"), std::string::npos) << E.message();
+}
+
+/// Hand-made CSR arrays, kept alive as the "backing" of the stores
+/// and routing arenas that view them — the only way to build a store
+/// that breaks the finalize() invariant, since append asserts it.
+struct HandMadeArrays {
+  std::vector<uint64_t> Offsets = {0};
+  std::vector<uint64_t> Hashes;
+  std::vector<double> Values;
+  std::vector<double> SelfDots;
+  std::vector<double> Norms;
+  std::vector<uint32_t> Assignments;
+  std::vector<uint64_t> Zero = {0};
+  std::vector<uint64_t> ZeroZero = {0, 0};
+};
+
+/// A store over \p Profiles (one hash list each, every value 1.0)
+/// whose arrays view \p A.
+ProfileStore handMadeStore(const std::shared_ptr<HandMadeArrays> &A,
+                           const std::vector<std::vector<uint64_t>> &Profiles) {
+  for (const std::vector<uint64_t> &P : Profiles) {
+    for (uint64_t H : P) {
+      A->Hashes.push_back(H);
+      A->Values.push_back(1.0);
+    }
+    A->Offsets.push_back(A->Hashes.size());
+    A->SelfDots.push_back(static_cast<double>(P.size()));
+    A->Norms.push_back(std::sqrt(static_cast<double>(P.size())));
+  }
+  return ProfileStore::fromMapped(A->Offsets.data(), A->Hashes.data(),
+                                  A->Values.data(), A->SelfDots.data(),
+                                  A->Norms.data(), Profiles.size(),
+                                  A->Hashes.size(), A);
+}
+
+TEST(FlatImageTest, DeepValidateRejectsUnsortedProfileEntries) {
+  const std::string Path = tempImagePath("unsorted_entries");
+  FlatImageReadOptions Deep;
+  Deep.DeepValidate = true;
+
+  ProfileStoreCache Good;
+  Good.KernelName = "k";
+  Good.Store =
+      handMadeStore(std::make_shared<HandMadeArrays>(), {{1, 5}, {2}});
+  Good.Names = std::vector<std::string>{"a", "b"};
+  Good.Labels = std::vector<std::string>{"x", "y"};
+  EXPECT_TRUE(Good.Store.isFinalized());
+  ASSERT_TRUE(writeProfileStoreImageFile(Good, Path).ok());
+  Expected<ProfileStoreCache> Loaded = readProfileStoreImageFile(Path, Deep);
+  ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
+  expectStoresBitExact(Loaded->Store, Good.Store);
+
+  // Unsorted or duplicated hashes within one profile break the
+  // finalize() invariant the dot kernels rely on.
+  const std::vector<std::vector<std::vector<uint64_t>>> BadShapes = {
+      {{1, 5}, {5, 1}}, {{3, 3}}};
+  for (const auto &Shape : BadShapes) {
+    ProfileStoreCache Bad;
+    Bad.KernelName = "k";
+    Bad.Store = handMadeStore(std::make_shared<HandMadeArrays>(), Shape);
+    for (size_t I = 0; I < Shape.size(); ++I) {
+      Bad.Names.push_back("s" + std::to_string(I));
+      Bad.Labels.push_back("l");
+    }
+    EXPECT_FALSE(Bad.Store.isFinalized());
+    ASSERT_TRUE(writeProfileStoreImageFile(Bad, Path).ok());
+    Expected<ProfileStoreCache> E = readProfileStoreImageFile(Path, Deep);
+    ASSERT_FALSE(E.hasValue());
+    EXPECT_NE(E.message().find("profile entries not sorted by hash"),
+              std::string::npos)
+        << E.message();
+  }
+}
+
+TEST(FlatImageTest, DeepValidateRejectsUnsortedCentroidFeatures) {
+  const std::string Path = tempImagePath("unsorted_centroid");
+  auto A = std::make_shared<HandMadeArrays>();
+  ProfileStoreCache Cache;
+  Cache.KernelName = "k";
+  Cache.Store = handMadeStore(std::make_shared<HandMadeArrays>(), {{1}, {2}});
+  Cache.Names = std::vector<std::string>{"a", "b"};
+  Cache.Labels = std::vector<std::string>{"x", "y"};
+
+  // One centroid whose features are out of order, both profiles
+  // assigned to it, and no postings (every feature pruned).
+  auto R = std::make_shared<RoutingArenas>();
+  R->Covered = 2;
+  R->Centroids = handMadeStore(A, {{7, 3}});
+  EXPECT_FALSE(R->Centroids.isFinalized());
+  A->Assignments = {0, 0};
+  R->Assignments = A->Assignments;
+  R->ClusterBegin = A->ZeroZero;
+  R->PostingBegin = A->Zero;
+  R->Backing = A;
+  Cache.Routing = R;
+  ASSERT_TRUE(writeProfileStoreImageFile(Cache, Path).ok());
+
+  FlatImageReadOptions Deep;
+  Deep.DeepValidate = true;
+  Expected<ProfileStoreCache> E = readProfileStoreImageFile(Path, Deep);
+  ASSERT_FALSE(E.hasValue());
+  EXPECT_NE(E.message().find("centroid features not sorted by hash"),
+            std::string::npos)
+      << E.message();
 }
 
 TEST(FlatImageTest, FormatsRejectEachOtherWithPointers) {

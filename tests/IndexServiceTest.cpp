@@ -80,7 +80,7 @@ std::vector<std::pair<std::string, double>>
 flatten(const ProfileIndex &Index, const std::vector<Neighbor> &Hits) {
   std::vector<std::pair<std::string, double>> Out;
   for (const Neighbor &H : Hits)
-    Out.push_back({Index.name(H.Index), H.Similarity});
+    Out.push_back({std::string(Index.name(H.Index)), H.Similarity});
   return Out;
 }
 

@@ -650,8 +650,8 @@ TEST(InvertedIndexTest, ProfileIndexAndOneShardServiceAgreeUnderPrunedRouting) {
     const auto Names = [&](const std::vector<Neighbor> &Hits) {
       std::vector<ServiceHit> Out;
       for (const Neighbor &H : Hits)
-        Out.push_back({Index.name(H.Index), Index.label(H.Index),
-                       H.Similarity});
+        Out.push_back({std::string(Index.name(H.Index)),
+                       std::string(Index.label(H.Index)), H.Similarity});
       return Out;
     };
     for (bool Normalize : {true, false}) {
@@ -718,17 +718,21 @@ TEST(InvertedIndexTest, RouterFitIsThreadCountInvariant) {
 
   // Assignments are in range, and each profile's assigned centroid is
   // the one route() ranks first.
+  std::vector<std::pair<double, uint32_t>> Scored;
+  std::vector<uint32_t> Top;
   for (size_t I = 0; I < Index.size(); ++I) {
     ASSERT_LT(Serial.assignments()[I], Serial.numCentroids());
-    std::vector<uint32_t> Top = Serial.route(Index.profile(I), 1);
+    Serial.route(FlatProfile(Index.profile(I)), 1, Scored, Top);
     ASSERT_EQ(Top.size(), 1u);
     EXPECT_EQ(Top[0], Serial.assignments()[I]) << "profile " << I;
   }
 
   // route() clamps NProbe and returns every centroid for NProbe == 0.
-  EXPECT_EQ(Serial.route(Index.profile(0), 0).size(), Serial.numCentroids());
-  EXPECT_EQ(Serial.route(Index.profile(0), 100).size(),
-            Serial.numCentroids());
+  const FlatProfile First(Index.profile(0));
+  Serial.route(First, 0, Scored, Top);
+  EXPECT_EQ(Top.size(), Serial.numCentroids());
+  Serial.route(First, 100, Scored, Top);
+  EXPECT_EQ(Top.size(), Serial.numCentroids());
 }
 
 } // namespace

@@ -165,24 +165,6 @@ TEST(ProfileStoreTest, EmptyProfilesTakeZeroArenaSpace) {
   EXPECT_TRUE(Store.materialize(0).empty());
 }
 
-TEST(ProfileStoreTest, AdoptRebuildsNormsAndValidates) {
-  // Two profiles: {(1, 3.0), (5, 4.0)} and {(2, 1.0)}.
-  ProfileStore Store = ProfileStore::adopt({1, 5, 2}, {3.0, 4.0, 1.0},
-                                           {0, 2, 3});
-  ASSERT_EQ(Store.size(), 2u);
-  EXPECT_TRUE(Store.isFinalized());
-  EXPECT_DOUBLE_EQ(Store.selfDot(0), 25.0);
-  EXPECT_DOUBLE_EQ(Store.norm(0), 5.0);
-  EXPECT_DOUBLE_EQ(Store.selfDot(1), 1.0);
-
-  // Unsorted (or duplicated) hashes within one profile break the
-  // finalize() invariant the dot kernels rely on.
-  EXPECT_FALSE(
-      ProfileStore::adopt({5, 1}, {1.0, 1.0}, {0, 2}).isFinalized());
-  EXPECT_FALSE(
-      ProfileStore::adopt({3, 3}, {1.0, 1.0}, {0, 2}).isFinalized());
-}
-
 //===----------------------------------------------------------------------===//
 // Tiled Gram fill over the store (KernelMatrix fast path)
 //===----------------------------------------------------------------------===//
