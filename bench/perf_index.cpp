@@ -201,8 +201,8 @@ std::vector<KernelProfile> heldOutQueries(size_t N) {
 
 /// Sweep/serving routing knobs. DfPct is MaxDocFrequency in percent;
 /// the sentinel -1 requests pure defaults, i.e. exhaustive mode
-/// (all centroids, no df-pruning, no re-rank budget), which is
-/// bit-identical to the exact scan.
+/// (all centroids, no df-pruning), which is bit-identical to the exact
+/// scan.
 RoutingOptions sweepRouting(int DfPct) {
   RoutingOptions Options;
   if (DfPct < 0)
@@ -210,7 +210,6 @@ RoutingOptions sweepRouting(int DfPct) {
   Options.Cluster.TrainingSample = 2048;
   Options.Cluster.MaxIterations = 6;
   Options.MaxDocFrequency = static_cast<double>(DfPct) / 100.0;
-  Options.RerankBudget = 96;
   Options.DefaultNProbe = 8;
   return Options;
 }

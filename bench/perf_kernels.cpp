@@ -119,12 +119,10 @@ BENCHMARK(BM_KastKernelCorpusPair);
 /// both sides sample their hash sets from a shared sorted universe of
 /// |A| + |B| slots, so the expected intersection is |A|·|B| / (|A|+|B|)
 /// — dense when balanced, sparse when skewed, like real profiles from
-/// one corpus. The stored (B) side also carries its int8 quantization.
+/// one corpus.
 struct DotOperands {
   std::vector<uint64_t> AHashes, BHashes;
   std::vector<double> AValues, BValues;
-  std::vector<int8_t> BQuant;
-  double Scale = 0.0;
 };
 
 DotOperands makeDotOperands(size_t ASize, size_t BSize) {
@@ -159,13 +157,6 @@ DotOperands makeDotOperands(size_t ASize, size_t BSize) {
   };
   Ops.AValues = Values(ASize);
   Ops.BValues = Values(BSize);
-  double MaxAbs = 0.0;
-  for (double V : Ops.BValues)
-    MaxAbs = std::max(MaxAbs, std::abs(V));
-  Ops.Scale = MaxAbs > 0.0 ? MaxAbs / 127.0 : 0.0;
-  Ops.BQuant.resize(BSize);
-  for (size_t I = 0; I < BSize; ++I)
-    Ops.BQuant[I] = static_cast<int8_t>(std::lround(Ops.BValues[I] / Ops.Scale));
   return Ops;
 }
 
@@ -173,9 +164,9 @@ DotOperands makeDotOperands(size_t ASize, size_t BSize) {
 /// Args are {SmallSize, SkewRatio, Kind}: the small side has SmallSize
 /// entries, the large side SmallSize * SkewRatio; Kind 0 is the scalar
 /// reference merge, 1 the dispatched exact kernel (gallop + SIMD
-/// block; label says which ISA won dispatch), 2 the quantized scan
-/// kernel. Skew 1 is the Gram/exhaustive-scan shape; skew 16-64 is the
-/// query-vs-centroid / query-vs-posting routing shape. Each iteration
+/// block; label says which ISA won dispatch). Skew 1 is the
+/// Gram/exhaustive-scan shape; skew 16-64 is the query-vs-centroid /
+/// query-vs-posting routing shape. Each iteration
 /// rotates through a pool of operand pairs: dotting one fixed pair
 /// lets the branch predictor memorize the scalar merge's exact
 /// branch sequence, overstating it by ~4x versus real scans where
@@ -194,24 +185,13 @@ void BM_DotThroughput(benchmark::State &State) {
   for (auto _ : State) {
     const DotOperands &Ops = Pool[P];
     P = (P + 1) % PoolSize;
-    double D = 0.0;
-    switch (Kind) {
-    case 0:
-      D = simd::dotScalar(Ops.AHashes.data(), Ops.AValues.data(),
-                          Ops.AHashes.size(), Ops.BHashes.data(),
-                          Ops.BValues.data(), Ops.BHashes.size());
-      break;
-    case 1:
-      D = simd::dotExact(Ops.AHashes.data(), Ops.AValues.data(),
-                         Ops.AHashes.size(), Ops.BHashes.data(),
-                         Ops.BValues.data(), Ops.BHashes.size());
-      break;
-    default:
-      D = simd::dotQuantized(Ops.AHashes.data(), Ops.AValues.data(),
-                             Ops.AHashes.size(), Ops.BHashes.data(),
-                             Ops.BQuant.data(), Ops.BHashes.size(), Ops.Scale);
-      break;
-    }
+    const double D =
+        Kind == 0 ? simd::dotScalar(Ops.AHashes.data(), Ops.AValues.data(),
+                                    Ops.AHashes.size(), Ops.BHashes.data(),
+                                    Ops.BValues.data(), Ops.BHashes.size())
+                  : simd::dotExact(Ops.AHashes.data(), Ops.AValues.data(),
+                                   Ops.AHashes.size(), Ops.BHashes.data(),
+                                   Ops.BValues.data(), Ops.BHashes.size());
     benchmark::DoNotOptimize(D);
   }
   State.SetItemsProcessed(State.iterations());
@@ -222,17 +202,13 @@ BENCHMARK(BM_DotThroughput)
     // Balanced (Gram / exhaustive scan shape).
     ->Args({128, 1, 0})
     ->Args({128, 1, 1})
-    ->Args({128, 1, 2})
     ->Args({1024, 1, 0})
     ->Args({1024, 1, 1})
-    ->Args({1024, 1, 2})
     // Skewed (query vs centroid / posting segment shape).
     ->Args({64, 16, 0})
     ->Args({64, 16, 1})
-    ->Args({64, 16, 2})
     ->Args({16, 64, 0})
-    ->Args({16, 64, 1})
-    ->Args({16, 64, 2});
+    ->Args({16, 64, 1});
 
 void BM_GramMatrixBuild(benchmark::State &State) {
   static std::vector<LabeledTrace> Corpus = generateCorpus();

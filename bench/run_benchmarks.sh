@@ -7,7 +7,9 @@
 #   BENCH_kernels.json   <- bench/perf_kernels
 #   BENCH_pipeline.json  <- bench/perf_pipeline
 #   BENCH_index.json     <- bench/perf_index  (append-vs-recompute, queries)
-#   BENCH_serving.json   <- bench/perf_serving (async batched runtime)
+#
+# Serving latency and throughput are measured by perfbench/ (open-loop
+# Poisson load, strace text in, top-5 out), not here.
 #
 # Each JSON's "context" object is stamped with the git SHA and UTC run
 # date, so a committed artifact is traceable to the exact tree that
@@ -132,7 +134,6 @@ run_bench() {
 run_bench perf_kernels "$OUT_DIR/BENCH_kernels.json"
 run_bench perf_pipeline "$OUT_DIR/BENCH_pipeline.json"
 run_bench perf_index "$OUT_DIR/BENCH_index.json"
-run_bench perf_serving "$OUT_DIR/BENCH_serving.json"
 
 echo "done: $OUT_DIR/BENCH_kernels.json $OUT_DIR/BENCH_pipeline.json" \
-     "$OUT_DIR/BENCH_index.json $OUT_DIR/BENCH_serving.json"
+     "$OUT_DIR/BENCH_index.json"

@@ -150,7 +150,6 @@ int main(int ArgC, char **ArgV) {
   if (Approx) {
     RoutingOptions Routing;
     Routing.MaxDocFrequency = 0.5;
-    Routing.RerankBudget = std::max<size_t>(4 * TopK, 16);
     Routing.DefaultNProbe = NProbe;
     Index.buildRouting(Routing);
     const std::string ProbeDesc =

@@ -6,9 +6,8 @@
 ///
 /// \file
 /// The one storage type behind KAST's flat arenas: ProfileStore,
-/// QuantizedStore, StringColumn, ClusterRouter and InvertedIndex hold
-/// every array as an ArenaArray<T>. An ArenaArray is in one of two
-/// backing modes:
+/// StringColumn, ClusterRouter and InvertedIndex hold every array as
+/// an ArenaArray<T>. An ArenaArray is in one of two backing modes:
 ///
 ///  - *owned*: a std::vector<T> of its own;
 ///  - *mapped*: a read-only view into externally owned bytes (a flat

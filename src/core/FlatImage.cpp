@@ -50,10 +50,10 @@ const char *sectionName(FlatSectionId Id) {
     return "names";
   case FlatSectionId::Labels:
     return "labels";
-  case FlatSectionId::QuantValues:
-    return "quantized-values";
-  case FlatSectionId::QuantScales:
-    return "quantized-scales";
+  case FlatSectionId::RetiredQuantValues:
+    return "retired-quantized-values";
+  case FlatSectionId::RetiredQuantScales:
+    return "retired-quantized-scales";
   case FlatSectionId::RetiredRoute:
     return "retired-route";
   case FlatSectionId::RouteMeta:
@@ -91,9 +91,9 @@ const char *sectionName(FlatSectionId Id) {
 ///
 ///   0   magic           8  "KASTIVIX"
 ///   8   metaVersion     u32  1
-///   12  flags           u32  bit 0: QuantizedShortlist
+///   12  reserved        u32  written 0, ignored on read
 ///   16  maxDocFrequency f64 bits
-///   24  rerankBudget    u64
+///   24  reserved        u64  written 0, ignored on read
 ///   32  defaultNProbe   u64
 ///   40  numCentroids    u64  (the *option*; 0 = auto)
 ///   48  maxIterations   u64
@@ -106,10 +106,13 @@ const char *sectionName(FlatSectionId Id) {
 ///   104 postingCount    u64  total postings P
 ///   112 prunedFeatures  u64
 ///   120 reserved        u64  0
+///
+/// Images written before the int8 shortlist tier was retired carry its
+/// flag in bit 0 at offset 12 and its re-rank budget at offset 24;
+/// that is why both slots are ignored on read rather than required 0.
 constexpr char RouteMetaMagic[8] = {'K', 'A', 'S', 'T', 'I', 'V', 'I', 'X'};
 constexpr uint32_t RouteMetaVersion = 1;
 constexpr uint64_t RouteMetaBytes = 128;
-constexpr uint32_t RouteMetaFlagQuantizedShortlist = 1u << 0;
 
 void appendU32(std::vector<unsigned char> &Out, uint32_t V) {
   for (int I = 0; I < 4; ++I)
@@ -195,9 +198,9 @@ std::vector<unsigned char> buildRouteMeta(const RoutingArenas &R) {
   Out.reserve(RouteMetaBytes);
   Out.insert(Out.end(), RouteMetaMagic, RouteMetaMagic + sizeof(RouteMetaMagic));
   appendU32(Out, RouteMetaVersion);
-  appendU32(Out, R.QuantizedShortlist ? RouteMetaFlagQuantizedShortlist : 0);
+  appendU32(Out, 0); // reserved
   appendU64(Out, std::bit_cast<uint64_t>(R.MaxDocFrequency));
-  appendU64(Out, R.RerankBudget);
+  appendU64(Out, 0); // reserved
   appendU64(Out, R.DefaultNProbe);
   appendU64(Out, R.ClusterNumCentroids);
   appendU64(Out, R.ClusterMaxIterations);
@@ -305,12 +308,6 @@ Status writeImageImpl(const std::string &KernelName, const StringColumn &Names,
       SectionOut::owned(FlatSectionId::Names, buildStringTable(Names)));
   Sections.push_back(
       SectionOut::owned(FlatSectionId::Labels, buildStringTable(Labels)));
-  if (const QuantizedStore *Quant = Store.quantized()) {
-    Sections.push_back(SectionOut::borrowed(FlatSectionId::QuantValues,
-                                            Quant->values().data(), Total));
-    Sections.push_back(SectionOut::borrowed(FlatSectionId::QuantScales,
-                                            Quant->scales().data(), N * 8));
-  }
   if (Routing) {
     const RoutingArenas &R = *Routing;
     const uint64_t C = R.Centroids.size();
@@ -550,7 +547,7 @@ kast::readProfileStoreImageFile(const std::string &Path,
                                ? static_cast<uint32_t>(
                                      FlatSectionId::PostingValues)
                                : static_cast<uint32_t>(
-                                     FlatSectionId::QuantScales);
+                                     FlatSectionId::RetiredQuantScales);
     if (Id == static_cast<uint32_t>(FlatSectionId::RetiredRoute))
       return fail("flat image carries the retired opaque routing section "
                   "(id 11), which this reader no longer restores; re-save "
@@ -621,8 +618,7 @@ kast::readProfileStoreImageFile(const std::string &Path,
   for (FlatSectionId Id :
        {FlatSectionId::KernelName, FlatSectionId::Offsets,
         FlatSectionId::SelfDots, FlatSectionId::Norms, FlatSectionId::Names,
-        FlatSectionId::Labels, FlatSectionId::QuantScales,
-        FlatSectionId::RouteMeta,
+        FlatSectionId::Labels, FlatSectionId::RouteMeta,
         FlatSectionId::RouteAssignments, FlatSectionId::CentroidOffsets,
         FlatSectionId::CentroidSelfDots, FlatSectionId::CentroidNorms,
         FlatSectionId::PostingClusterBegin, FlatSectionId::PostingBegin})
@@ -631,7 +627,7 @@ kast::readProfileStoreImageFile(const std::string &Path,
   if (Deep)
     for (FlatSectionId Id :
          {FlatSectionId::Hashes, FlatSectionId::Values,
-          FlatSectionId::QuantValues, FlatSectionId::CentroidHashes,
+          FlatSectionId::CentroidHashes,
           FlatSectionId::CentroidValues, FlatSectionId::PostingFeatures,
           FlatSectionId::PostingIds, FlatSectionId::PostingValues})
       if (Status S = verify(Id); !S)
@@ -685,25 +681,9 @@ kast::readProfileStoreImageFile(const std::string &Path,
   if (Deep && !Cache.Store.isFinalized())
     return fail("corrupt flat image: profile entries not sorted by hash");
 
-  // Optional quantized sidecar: both sections or neither.
-  const SectionIn &QValues = section(FlatSectionId::QuantValues);
-  const SectionIn &QScales = section(FlatSectionId::QuantScales);
-  if (QValues.Present != QScales.Present)
-    return fail("corrupt flat image: quantized sidecar needs both the "
-                "quantized-values and quantized-scales sections");
-  if (QValues.Present) {
-    if (QValues.Size != Total || QScales.Size != N * 8)
-      return fail("corrupt flat image: quantized sidecar size disagrees "
-                  "with header counts");
-    Cache.Store.adoptQuantized(
-        std::make_shared<const QuantizedStore>(QuantizedStore::fromMapped(
-            reinterpret_cast<const int8_t *>(
-                sectionData(FlatSectionId::QuantValues)),
-            Offsets,
-            reinterpret_cast<const double *>(
-                sectionData(FlatSectionId::QuantScales)),
-            static_cast<size_t>(N), static_cast<size_t>(Total), Backing)));
-  }
+  // Sections 9/10 held an int8 sidecar that nothing reads any more.
+  // Images written before its retirement still carry them; the table
+  // loop has bounds- and alignment-checked them, and they are ignored.
 
   // v4 routing arenas: all twelve sections or none. Structural checks
   // here are the always-on tier — everything an in-bounds query walk
@@ -735,11 +715,8 @@ kast::readProfileStoreImageFile(const std::string &Path,
     if (readU32At(MetaData, 8) != RouteMetaVersion)
       return fail("unsupported flat image routing-meta version " +
                   std::to_string(readU32At(MetaData, 8)));
-    const uint32_t Flags = readU32At(MetaData, 12);
     auto R = std::make_shared<RoutingArenas>();
-    R->QuantizedShortlist = (Flags & RouteMetaFlagQuantizedShortlist) != 0;
     R->MaxDocFrequency = std::bit_cast<double>(readU64At(MetaData, 16));
-    R->RerankBudget = readU64At(MetaData, 24);
     R->DefaultNProbe = readU64At(MetaData, 32);
     R->ClusterNumCentroids = readU64At(MetaData, 40);
     R->ClusterMaxIterations = readU64At(MetaData, 48);

@@ -6,18 +6,17 @@
 ///
 /// \file
 /// The "flat image", KAST's one on-disk profile format: a ProfileStore
-/// (with names, labels, and optionally its quantized sidecar and
-/// routing tier) serialized so that the on-disk layout *is* the
-/// in-memory layout. Per-string profiles are computed once, written,
-/// and reloaded bit-exactly, so Gram growth and index queries never
-/// rebuild a profile the corpus already paid for. Loading is
-/// mmap-then-view: the reader maps the file read-only, validates the
-/// header and metadata sections, and hands back a ProfileStore whose
-/// arrays alias the mapping (ProfileStore::fromMapped). Restart cost
-/// is validation plus first-page faults, independent of entry count;
-/// every process serving the same image shares one set of clean
-/// page-cache pages; and corpora larger than RAM are served by
-/// letting the kernel page.
+/// (with names, labels, and optionally its routing tier) serialized so
+/// that the on-disk layout *is* the in-memory layout. Per-string
+/// profiles are computed once, written, and reloaded bit-exactly, so
+/// Gram growth and index queries never rebuild a profile the corpus
+/// already paid for. Loading is mmap-then-view: the reader maps the
+/// file read-only, validates the header and metadata sections, and
+/// hands back a ProfileStore whose arrays alias the mapping
+/// (ProfileStore::fromMapped). Restart cost is validation plus
+/// first-page faults, independent of entry count; every process
+/// serving the same image shares one set of clean page-cache pages;
+/// and corpora larger than RAM are served by letting the kernel page.
 ///
 /// Wire layout (all integers little-endian; doubles as IEEE-754 bit
 /// patterns; byte offsets from the start of the file):
@@ -47,11 +46,12 @@
 ///   M NORMS       N x f64       cached norms (sqrt of self-dot)
 ///   M NAMES       (N+1) x u64 string offsets, then the byte blob
 ///   M LABELS      same shape as NAMES
-///     QVALUES     total x i8    QuantizedStore codes (sidecar)
-///     QSCALES     N x f64       QuantizedStore per-profile scales
 ///
-/// Section id 11 belonged to a retired opaque routing blob; the reader
-/// rejects it with a diagnostic, and the other ids keep their numbers.
+/// Retired ids keep their numbers. Ids 9 and 10 held an int8
+/// quantized copy of VALUES (codes and per-profile scales): derived
+/// data that is no longer written and, when an older image carries
+/// it, bounds- and alignment-checked and then ignored. Id 11 belonged
+/// to an opaque routing blob; the reader rejects it with a diagnostic.
 ///
 /// Version 4 adds the routing tier as first-class flat arenas — the
 /// canonical in-memory CSR layout of index/ClusterRouter and
@@ -76,19 +76,16 @@
 ///     PVALUES     P x f64       posting values (impact-ordered)
 ///
 /// SELFDOTS and NORMS ride in the image because recomputing them is
-/// an O(entries) pass over the arena; QVALUES/QSCALES
-/// (present iff the store had a built sidecar at write time) and the
-/// routing sections let a routed, quantized index restore with no
-/// rebuild at all.
+/// an O(entries) pass over the arena; the routing sections let a
+/// routed index restore with no rebuild at all.
 ///
 /// Validation. Opening always verifies the header checksum (which
 /// covers the section table), section bounds and alignment, the
 /// kernel-name hash, the CSR offset invariants (validateCsrOffsets),
 /// and the checksums of every metadata-sized section (everything
-/// O(N): offsets, self-dots, norms, names, labels, scales, and the
-/// routing meta /
-/// assignment / CSR-offset sections). The entry-sized sections
-/// (HASHES/VALUES/QVALUES and the routing payload arrays
+/// O(N): offsets, self-dots, norms, names, labels, and the routing
+/// meta / assignment / CSR-offset sections). The entry-sized sections
+/// (HASHES/VALUES and the routing payload arrays
 /// CHASHES/CVALUES/PFEATURES/PIDS/PVALUES) are checksummed only under
 /// FlatImageReadOptions::DeepValidate — verifying them eagerly would
 /// fault every page and reintroduce the O(entries) open the format
@@ -144,7 +141,9 @@ inline constexpr uint64_t FlatImageAlignment = 4096;
 /// RetiredRoute are the version-4 routing arenas and are rejected in
 /// version-3 files (version skew), so a v3-era reader and a v4 file
 /// fail loudly in both directions. RetiredRoute is never written and
-/// always rejected.
+/// always rejected. RetiredQuantValues/RetiredQuantScales (a derived
+/// int8 sidecar) are never written; older images that carry them are
+/// checked for bounds and alignment like any section, then ignored.
 enum class FlatSectionId : uint32_t {
   KernelName = 1,
   Offsets = 2,
@@ -154,8 +153,8 @@ enum class FlatSectionId : uint32_t {
   Norms = 6,
   Names = 7,
   Labels = 8,
-  QuantValues = 9,
-  QuantScales = 10,
+  RetiredQuantValues = 9,
+  RetiredQuantScales = 10,
   RetiredRoute = 11,
   // v4 routing arenas (all-or-nothing):
   RouteMeta = 12,
@@ -193,9 +192,7 @@ Status validateCsrOffsets(const uint64_t *Offsets, size_t Count,
 struct RoutingArenas {
   // Routing options, flattened to scalars (the "KASTIVIX" meta).
   double MaxDocFrequency = 1.0;
-  uint64_t RerankBudget = 0;
   uint64_t DefaultNProbe = 0;
-  bool QuantizedShortlist = true;
   uint64_t ClusterNumCentroids = 0;
   uint64_t ClusterMaxIterations = 8;
   uint64_t ClusterTrainingSample = 0;
@@ -247,7 +244,7 @@ struct ProfileStoreCache {
 
 struct FlatImageReadOptions {
   /// Also verify the checksums of the entry-sized sections (hashes,
-  /// values, quantized codes) — an O(entries) sweep that faults every
+  /// values, routing payloads) — an O(entries) sweep that faults every
   /// page. Tests and integrity audits want it; serving restarts do
   /// not. Implied on the buffered fallback path.
   bool DeepValidate = false;
@@ -256,11 +253,11 @@ struct FlatImageReadOptions {
   bool ForceBuffered = false;
 };
 
-/// Writes \p Store (with its names/labels, its quantized sidecar if
-/// one is built, and \p Routing when non-null: version 4) as a flat
-/// image at \p Path, staged through "<Path>.tmp". The parts are passed
-/// separately so a caller holding them (ProfileIndex::save) need not
-/// copy them into a ProfileStoreCache. The writer emits little-endian
+/// Writes \p Store (with its names/labels, and \p Routing when
+/// non-null: version 4) as a flat image at \p Path, staged through
+/// "<Path>.tmp". The parts are passed separately so a caller holding
+/// them (ProfileIndex::save) need not copy them into a
+/// ProfileStoreCache. The writer emits little-endian
 /// bytes; both writer and reader require a little-endian host.
 Status writeProfileStoreImageFile(const std::string &KernelName,
                                   const StringColumn &Names,
@@ -269,8 +266,8 @@ Status writeProfileStoreImageFile(const std::string &KernelName,
                                   const std::string &Path,
                                   const RoutingArenas *Routing = nullptr);
 
-/// Struct form: uses Cache.Store's sidecar, and embeds Cache.Routing
-/// as the version-4 arena sections when present.
+/// Struct form: embeds Cache.Routing as the version-4 arena sections
+/// when present.
 Status writeProfileStoreImageFile(const ProfileStoreCache &Cache,
                                   const std::string &Path);
 
@@ -280,12 +277,11 @@ Status writeProfileStoreImage(const ProfileStoreCache &Cache,
                               std::ostream &Out);
 
 /// Opens, validates, and views a v3/v4 flat image. On success the
-/// returned cache's Store (and quantized sidecar, when the image
-/// carries one) alias the mapping, Names/Labels are lazily decoded
-/// section-backed columns (core/StringColumn), and — for a v4 image —
-/// Cache.Routing views the routing arenas in place. Rejects any
-/// structural or checksum violation with a diagnostic naming the
-/// section.
+/// returned cache's Store aliases the mapping, Names/Labels are
+/// lazily decoded section-backed columns (core/StringColumn), and —
+/// for a v4 image — Cache.Routing views the routing arenas in place.
+/// Rejects any structural or checksum violation with a diagnostic
+/// naming the section.
 Expected<ProfileStoreCache>
 readProfileStoreImageFile(const std::string &Path,
                           const FlatImageReadOptions &Options = {});

@@ -8,7 +8,6 @@
 
 #include "util/SimdDot.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -42,77 +41,19 @@ void FlatProfile::assign(const KernelProfile &P) {
   Hashes.resize(Entries.size());
   Values.resize(Entries.size());
   double SelfDot = 0.0;
-  double AbsSum = 0.0;
   // Entry order, like KernelProfile::norm(), so Norm is bit-identical
   // to the staged profile's — both retrieval layers divide by it.
   for (size_t I = 0; I < Entries.size(); ++I) {
     Hashes[I] = Entries[I].Hash;
     Values[I] = Entries[I].Value;
     SelfDot += Entries[I].Value * Entries[I].Value;
-    AbsSum += std::abs(Entries[I].Value);
   }
   Norm = std::sqrt(SelfDot);
-  L1 = AbsSum;
-}
-
-//===----------------------------------------------------------------------===//
-// QuantizedStore
-//===----------------------------------------------------------------------===//
-
-QuantizedStore QuantizedStore::build(const ProfileStore &Store) {
-  const ArrayView<double> Values = Store.values();
-  const ArrayView<uint64_t> Offsets = Store.offsets();
-  const size_t N = Store.size();
-  std::vector<int8_t> Codes(Values.size());
-  std::vector<double> Scales(N);
-  for (size_t I = 0; I < N; ++I) {
-    const size_t Begin = static_cast<size_t>(Offsets[I]);
-    const size_t End = static_cast<size_t>(Offsets[I + 1]);
-    double MaxAbs = 0.0;
-    for (size_t E = Begin; E < End; ++E)
-      MaxAbs = std::max(MaxAbs, std::abs(Values[E]));
-    // All-zero (or empty) profile: scale 0, all codes 0 — the
-    // quantized dot is exactly 0, matching the exact dot.
-    const double Scale = MaxAbs > 0.0 ? MaxAbs / 127.0 : 0.0;
-    Scales[I] = Scale;
-    const double Inv = Scale > 0.0 ? 1.0 / Scale : 0.0;
-    for (size_t E = Begin; E < End; ++E) {
-      // |v| <= MaxAbs, so v/Scale rounds into [-127, 127] — no clamp
-      // needed.
-      Codes[E] = static_cast<int8_t>(std::lround(Values[E] * Inv));
-    }
-  }
-  QuantizedStore Q;
-  Q.Values = std::move(Codes);
-  Q.Offsets = std::vector<uint64_t>(Offsets.begin(), Offsets.end());
-  Q.Scales = std::move(Scales);
-  return Q;
-}
-
-QuantizedStore QuantizedStore::fromMapped(
-    const int8_t *Values, const uint64_t *Offsets, const double *Scales,
-    size_t Profiles, size_t Entries, std::shared_ptr<const void> Backing) {
-  QuantizedStore Q;
-  Q.Values = ArenaArray<int8_t>::mapped({Values, Entries}, Backing);
-  Q.Offsets = ArenaArray<uint64_t>::mapped({Offsets, Profiles + 1}, Backing);
-  Q.Scales = ArenaArray<double>::mapped({Scales, Profiles}, std::move(Backing));
-  return Q;
 }
 
 //===----------------------------------------------------------------------===//
 // ProfileStore
 //===----------------------------------------------------------------------===//
-
-void ProfileStore::buildQuantized() {
-  if (!Quant)
-    Quant = std::make_shared<const QuantizedStore>(QuantizedStore::build(*this));
-}
-
-void ProfileStore::adoptQuantized(std::shared_ptr<const QuantizedStore> Q) {
-  assert(Q && Q->size() == size() && Q->entryCount() == entryCount() &&
-         "quantized sidecar must mirror the store's CSR layout");
-  Quant = std::move(Q);
-}
 
 size_t ProfileStore::append(const KernelProfile &Profile) {
   if (Offsets.empty())
@@ -134,7 +75,6 @@ size_t ProfileStore::append(const KernelProfile &Profile) {
   Offsets.push_back(Hashes.size());
   SelfDots.push_back(SelfDot);
   Norms.push_back(std::sqrt(SelfDot));
-  Quant.reset(); // sidecar mirrors the CSR layout; stale after append
   return size() - 1;
 }
 
@@ -161,7 +101,6 @@ size_t ProfileStore::appendFrom(const ProfileStore &Other, size_t I) {
   Offsets.push_back(Hashes.size());
   SelfDots.push_back(V.SelfDot);
   Norms.push_back(V.Norm);
-  Quant.reset();
   return size() - 1;
 }
 

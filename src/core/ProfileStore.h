@@ -90,10 +90,6 @@ struct FlatProfile {
   /// sqrt(selfDot), summed in entry order — bit-identical to
   /// KernelProfile::norm() on the source profile.
   double Norm = 0.0;
-  /// Sum of |value|, accumulated in entry order. The quantized scan's
-  /// error bound is Scale/2 * L1 (see QuantizedStore), so the bound is
-  /// one multiply away wherever a flattened query travels.
-  double L1 = 0.0;
 
   FlatProfile() = default;
   explicit FlatProfile(const KernelProfile &P) { assign(P); }
@@ -110,80 +106,6 @@ struct FlatProfile {
 /// query. Bit-identical to dot(A, KernelProfile) over the same
 /// features — flattening only changes the layout.
 double dot(const ProfileView &A, const FlatProfile &B);
-
-class ProfileStore;
-
-/// Optional int8 sidecar for a ProfileStore: the cheap scan tier.
-///
-/// Each profile's values are quantized independently with a symmetric
-/// per-profile scale (Scale = maxAbs / 127, Q = round(V / Scale), so
-/// |V - Scale*Q| <= Scale/2). The hashes are NOT copied — a quantized
-/// view shares the parent store's hash span, and the sidecar mirrors
-/// the parent's CSR layout at build time, so it must be rebuilt (not
-/// patched) after any append. Scales and the exact f64 self-dots stay
-/// in the parent store; the sidecar only adds the 8x-smaller value
-/// arrays the approximate scan streams.
-///
-/// Like the parent store, a sidecar's arrays are owned (build) or
-/// mapped (fromMapped — the image persists the codes and scales so a
-/// quantized index restores without the O(entries) rebuild). A sidecar
-/// is immutable after construction; the parent drops it on append.
-///
-/// Error bound: for a query q and stored profile p,
-///     |dot(q, p) - dotQuantized(q, p)| <= Scale/2 * sum_matches |q_i|
-///                                      <= Scale/2 * L1(q),
-/// since each matched stored value is off by at most Scale/2. The
-/// bound is tested in SimdDotTest and justifies the shortlist margin
-/// in the retrieval layers, which always re-rank survivors with the
-/// exact f64 kernel before anything becomes user-visible.
-class QuantizedStore {
-public:
-  /// One profile's quantized values; pair with the parent store's
-  /// ProfileView::Hashes (same indices, same CSR layout).
-  struct View {
-    const int8_t *Values = nullptr;
-    size_t Size = 0;
-    double Scale = 0.0;
-  };
-
-  /// Quantizes every profile of \p Store. Deterministic: the sidecar
-  /// is a pure function of the store's contents, so it can always be
-  /// rebuilt instead of persisted.
-  static QuantizedStore build(const ProfileStore &Store);
-
-  /// Non-owning construction over externally owned arrays (a mapped v3
-  /// image); \p Backing keeps the bytes alive. The arrays must mirror
-  /// the parent store's CSR layout — the flat-image reader validates
-  /// this before calling in.
-  static QuantizedStore fromMapped(const int8_t *Values,
-                                   const uint64_t *Offsets,
-                                   const double *Scales, size_t Profiles,
-                                   size_t Entries,
-                                   std::shared_ptr<const void> Backing);
-
-  size_t size() const { return Scales.size(); }
-
-  /// Total quantized entries (== the parent store's entryCount()).
-  size_t entryCount() const { return Values.size(); }
-
-  View view(size_t I) const {
-    const size_t Begin = static_cast<size_t>(Offsets[I]);
-    return {Values.data() + Begin,
-            static_cast<size_t>(Offsets[I + 1]) - Begin, Scales[I]};
-  }
-
-  double scale(size_t I) const { return Scales[I]; }
-
-  // Raw access for image serialization (core/FlatImage).
-  ArrayView<int8_t> values() const { return Values.view(); }
-  ArrayView<double> scales() const { return Scales.view(); }
-
-private:
-  ArenaArray<int8_t> Values;
-  /// The parent's CSR offsets at build time (size() + 1 entries).
-  ArenaArray<uint64_t> Offsets;
-  ArenaArray<double> Scales;
-};
 
 /// Arena of N profiles as structure-of-arrays with CSR offsets, either
 /// owning its arrays or viewing a mapped image (see file comment).
@@ -263,28 +185,6 @@ public:
   /// every profile — the validation gate for mapped input.
   bool isFinalized() const;
 
-  /// Builds (or rebuilds) the int8 quantized sidecar from the current
-  /// contents. Like views, the sidecar is invalidated — dropped — by
-  /// the next append; call again once the store is settled. No-op if a
-  /// sidecar for the current contents already exists.
-  void buildQuantized();
-
-  /// Installs an externally built sidecar — the v3 restore path, where
-  /// the image carries the int8 codes and scales and rebuilding them
-  /// would forfeit the O(1) open. \p Q must mirror this store's CSR
-  /// layout (asserted on the counts).
-  void adoptQuantized(std::shared_ptr<const QuantizedStore> Q);
-
-  /// The quantized sidecar, or nullptr if none has been built (or an
-  /// append invalidated it).
-  const QuantizedStore *quantized() const { return Quant.get(); }
-
-  /// Shared ownership of the sidecar, so snapshot/routing structures
-  /// can outlive this store's next mutation.
-  std::shared_ptr<const QuantizedStore> quantizedShared() const {
-    return Quant;
-  }
-
   // Raw arena access for block serialization; offsets() has size()+1
   // elements with offsets()[0] == 0. Offsets are kept as u64 — the
   // cache wire width — so save/load move the blob wholesale with no
@@ -309,10 +209,6 @@ private:
   ArenaArray<uint64_t> Offsets;
   ArenaArray<double> SelfDots;
   ArenaArray<double> Norms;
-
-  /// Lazily built by buildQuantized(); reset by any append (the
-  /// sidecar mirrors the CSR layout, which appends change).
-  std::shared_ptr<const QuantizedStore> Quant;
 };
 
 } // namespace kast

@@ -281,14 +281,14 @@ IndexSnapshot IndexService::snapshot() const {
 // Service: writers
 //===----------------------------------------------------------------------===//
 
-void IndexService::add(std::string Name, std::string Label,
+void IndexService::add(std::string_view Name, std::string_view Label,
                        const KernelProfile &Profile) {
   ShardState &Shard = *Shards[shardOf(Name)];
   std::lock_guard<std::mutex> Lock(Shard.WriterMutex);
   ShardWriter &W = Shard.Writer;
   W.Staging.Store.append(Profile);
-  W.Staging.Names.push_back(std::move(Name));
-  W.Staging.Labels.push_back(std::move(Label));
+  W.Staging.Names.push_back(Name);
+  W.Staging.Labels.push_back(Label);
   W.StagingTombs.push_back(0);
   ++W.LiveCount;
   ++W.EntryCount;
@@ -480,7 +480,7 @@ IndexService::fromShardCaches(std::vector<ProfileStoreCache> Caches,
         return Result::error("shard cache " + std::to_string(S) +
                              "'s embedded routing does not match its "
                              "profile count");
-      W.Routing = detail::IndexRouting::alias(std::move(A), Seg->Store);
+      W.Routing = detail::IndexRouting::alias(std::move(A));
       W.RoutedSegment = Seg;
     }
     std::lock_guard<std::mutex> Lock(Service.Shards[S]->WriterMutex);
@@ -505,20 +505,16 @@ std::vector<ProfileStoreCache> IndexService::toShardCaches() const {
         Shard.LiveCount, Cache.Store, Cache.Names, Cache.Labels);
     // A shard whose whole published state is its one routed segment
     // (no staging tail, no tombstones) exports bit-identically to that
-    // segment, so the fitted router and the quantized shortlist store
-    // stay valid for the exported arena: export the routing tier as
-    // flat arena views (what core/FlatImage serializes as the v4 CSR
-    // sections) and hang the quantized sidecar on the exported store,
-    // so fromShardCaches restores the routed, quantized tier with no
-    // refit, no posting rebuild, and no requantize. Any other shape
-    // leaves Routing null — the router's assignments would not line
-    // up with the exported profile numbering.
+    // segment, so the fitted router stays valid for the exported
+    // arena: export the routing tier as flat arena views (what
+    // core/FlatImage serializes as the v4 CSR sections), so
+    // fromShardCaches restores the routed tier with no refit and no
+    // posting rebuild. Any other shape leaves Routing null — the
+    // router's assignments would not line up with the exported
+    // profile numbering.
     const auto &Routing = Shard.Scorer.routing();
-    if (Routing && Shard.Segments.size() == 1 && !Shard.Tombstones[0]) {
+    if (Routing && Shard.Segments.size() == 1 && !Shard.Tombstones[0])
       Cache.Routing = detail::IndexRouting::toArenas(Routing);
-      if (Routing->Quant)
-        Cache.Store.adoptQuantized(Routing->Quant);
-    }
   }
   return Caches;
 }

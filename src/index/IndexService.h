@@ -185,8 +185,8 @@ public:
   /// RoutingOptions::DefaultNProbe, itself 0 = all). Unrouted segments
   /// — later seals, the staging tail, and every segment of
   /// never-routed or post-compaction shards — are scanned exactly. Run
-  /// exhaustively (all centroids, no df-pruning, no re-rank budget)
-  /// the result is bit-identical to query(), tie-break order included.
+  /// exhaustively (all centroids, no df-pruning) the result is
+  /// bit-identical to query(), tie-break order included.
   std::vector<ServiceHit> queryApprox(const KernelProfile &Query, size_t K,
                                       bool Normalize = true,
                                       size_t NProbe = 0,
@@ -251,7 +251,7 @@ public:
 
   /// Appends one profile and publishes it immediately: every snapshot
   /// taken after add() returns observes the new entry.
-  void add(std::string Name, std::string Label,
+  void add(std::string_view Name, std::string_view Label,
            const KernelProfile &Profile);
 
   /// Tombstones every live entry named \p Name and publishes.

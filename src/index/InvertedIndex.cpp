@@ -162,7 +162,6 @@ void InvertedIndex::collectCandidates(const FlatProfile &Query,
       } else if (FHash < QHash) {
         ++F;
       } else {
-        const double QValue = Query.Values[Q];
         for (size_t P = PostingBegin[F]; P < PostingBegin[F + 1]; ++P) {
           const uint32_t Id = PostingIds[P];
           // A mapped arena that skipped deep validation could carry a
@@ -171,10 +170,8 @@ void InvertedIndex::collectCandidates(const FlatProfile &Query,
             continue;
           if (!S.marked(Id)) {
             S.Epoch[Id] = S.Current;
-            S.Acc[Id] = 0.0;
             S.Candidates.push_back(Id);
           }
-          S.Acc[Id] += QValue * PostingValues[P];
         }
         ++Q;
         ++F;

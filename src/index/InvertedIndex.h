@@ -19,15 +19,14 @@
 ///     shared by most profiles distinguishes nothing and its posting
 ///     list costs almost a full scan.
 ///   - Within one feature's posting run, postings are impact-ordered
-///     (value descending), so heavy contributors accumulate first and
-///     any posting budget keeps the candidates that matter.
+///     (value descending, then id). The order is part of the v4
+///     image layout; candidate collection does not depend on it.
 ///
-/// Candidate generation only *finds and pre-scores* survivors; final
-/// scores always come from the exact merge-join dot over the full
-/// profiles (the re-rank step in index/SegmentScorer), so the
-/// approximate tier can be bit-identical to the exact scan when run
-/// exhaustively (all centroids probed, no df-pruning, no re-rank
-/// budget) — the contract the differential tests pin.
+/// Candidate generation only *finds* survivors; their scores always
+/// come from the exact dot over the full profiles (the re-rank step in
+/// index/SegmentScorer), so the approximate tier is bit-identical to
+/// the exact scan when run exhaustively (all centroids probed, no
+/// df-pruning) — the contract the differential tests pin.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,39 +58,27 @@ struct RoutingOptions {
   /// disables pruning; candidates then cover every profile sharing
   /// any feature with the query.
   double MaxDocFrequency = 1.0;
-  /// Cap on candidates surviving to the exact re-rank, selected by
-  /// accumulated partial score (impact-ordered posting accumulation).
-  /// 0 re-ranks every candidate — required for bit-identity with the
-  /// exact scan.
-  size_t RerankBudget = 0;
   /// Centroids probed when the query does not say: 0 probes all.
   size_t DefaultNProbe = 0;
-  /// When a RerankBudget is set, select the shortlist by scoring every
-  /// candidate with the int8 quantized dot (core/ProfileStore's
-  /// QuantizedStore sidecar) instead of the accumulated partial score.
-  /// The quantized score sees *all* of a candidate's features — the
-  /// partial accumulator only sees features surviving df-pruning in
-  /// probed clusters — so the shortlist ranks closer to the exact
-  /// order at a fraction of the exact dot's cost. Survivors are still
-  /// re-ranked with the exact f64 kernel; this knob only changes which
-  /// candidates make the shortlist. Ignored when RerankBudget == 0
-  /// (nothing is pruned, so there is nothing to select).
+  /// Retired and ignored: every routed candidate is re-ranked with the
+  /// exact dot, so there is no shortlist to cap. Kept only so callers
+  /// that still assign it compile; nothing reads it.
+  size_t RerankBudget = 0;
+  /// Retired and ignored: the int8 shortlist tier is gone. Kept only
+  /// so callers that still assign it compile; nothing reads it.
   bool QuantizedShortlist = true;
 };
 
 /// Reusable per-thread query scratch: an epoch-versioned candidate
-/// mark plus the partial-score accumulator. Versioning (instead of a
-/// clear per query) makes reuse across a batch O(candidates), and —
-/// the determinism contract — leaves no state behind that could leak
-/// into the next query on the same worker: an id is a candidate iff
-/// its epoch equals the current one, and Acc[id] is written before it
-/// is ever read within one epoch.
+/// mark. Versioning (instead of a clear per query) makes reuse across
+/// a batch O(candidates), and — the determinism contract — leaves no
+/// state behind that could leak into the next query on the same
+/// worker: an id is a candidate iff its epoch equals the current one.
 struct InvertedScratch {
   /// Starts a new query over \p N profiles.
   void begin(size_t N) {
     if (Epoch.size() != N) {
       Epoch.assign(N, 0);
-      Acc.assign(N, 0.0);
       Current = 0;
     }
     ++Current;
@@ -108,9 +95,6 @@ struct InvertedScratch {
   uint32_t Current = 0;
   /// Candidate ids in first-touch order; valid for the current epoch.
   std::vector<uint32_t> Candidates;
-  /// Accumulated partial score per candidate id (query value × posting
-  /// value over matched, surviving features).
-  std::vector<double> Acc;
   /// Centroid-scoring scratch for ClusterRouter::route, reused across
   /// a batch so the per-query sweep allocates nothing once warm.
   std::vector<std::pair<double, uint32_t>> RouteScored;
@@ -170,11 +154,11 @@ public:
   ArrayView<double> postingValues() const { return PostingValues.view(); }
 
   /// Marks every profile of the probed clusters sharing a surviving
-  /// feature with \p Query into \p S (first-touch order) and
-  /// accumulates its partial score, merge-joining the query's dense
-  /// hash array against each probed cluster's features. \p Probes are
-  /// cluster ids (from ClusterRouter::route); out-of-range ids are
-  /// ignored. The caller must have called S.begin(numProfiles()).
+  /// feature with \p Query into \p S (first-touch order),
+  /// merge-joining the query's dense hash array against each probed
+  /// cluster's features. \p Probes are cluster ids (from
+  /// ClusterRouter::route); out-of-range ids are ignored. The caller
+  /// must have called S.begin(numProfiles()).
   void collectCandidates(const FlatProfile &Query,
                          const std::vector<uint32_t> &Probes,
                          InvertedScratch &S) const;

@@ -37,14 +37,8 @@ ProfileIndex ProfileIndex::fromStoreCache(ProfileStoreCache Cache) {
   Index.Names = std::move(Cache.Names);
   Index.Labels = std::move(Cache.Labels);
   Index.Store = std::move(Cache.Store);
-  if (Cache.Routing) {
-    Index.Routing =
-        detail::IndexRouting::alias(std::move(Cache.Routing), Index.Store);
-    // As in buildRouting, the quantized sidecar hangs on the index's
-    // own store; alias built one when the image carried none.
-    if (Index.Routing->Quant && !Index.Store.quantized())
-      Index.Store.adoptQuantized(Index.Routing->Quant);
-  }
+  if (Cache.Routing)
+    Index.Routing = detail::IndexRouting::alias(std::move(Cache.Routing));
   return Index;
 }
 
@@ -91,10 +85,6 @@ ProfileIndex::queryBatch(const std::vector<KernelProfile> &Queries, size_t K,
 }
 
 void ProfileIndex::buildRouting(const RoutingOptions &Options, size_t Threads) {
-  // The quantized sidecar hangs on this index's own store (where
-  // store().quantized() reports it); the fit then reuses it.
-  if (detail::IndexRouting::wantsQuantized(Options))
-    Store.buildQuantized();
   Routing = detail::IndexRouting::fit(Store, Options, Threads);
 }
 

@@ -13,7 +13,7 @@
 /// index/SegmentScorer, the one top-k scorer it shares with every
 /// IndexService shard: query() is the exact O(N · dot) scan (no Gram
 /// matrix, one contiguous hash array streamed), queryApprox() the
-/// routed candidate → shortlist → exact re-rank path, and the batch
+/// routed candidate → exact re-rank path, and the batch
 /// forms stride queries across workers with one scratch per worker.
 ///
 /// Indexes round-trip through a flat image (core/FlatImage), routing
@@ -176,9 +176,8 @@ public:
   /// posting segments (0 defers to RoutingOptions::DefaultNProbe,
   /// itself 0 = all centroids), exact re-ranks the candidates, and
   /// scans the unrouted tail exactly. Run exhaustively (all centroids,
-  /// MaxDocFrequency 1.0, RerankBudget 0) the result is bit-identical
-  /// to query(), including tie-break order. Falls back to query() when
-  /// unrouted.
+  /// MaxDocFrequency 1.0) the result is bit-identical to query(),
+  /// including tie-break order. Falls back to query() when unrouted.
   std::vector<Neighbor> queryApprox(const KernelProfile &Query, size_t K,
                                     bool Normalize = true,
                                     size_t NProbe = 0) const;
@@ -195,12 +194,11 @@ public:
   std::string majorityLabel(const std::vector<Neighbor> &Neighbors) const;
 
   /// Round-trip through a flat image (core/FlatImage): save writes the
-  /// arena, names and labels, the store's quantized sidecar when built,
-  /// and — for a routed index — the routing tier as version-4 arena
-  /// sections covering the routed prefix (an unrouted tail stays
-  /// unrouted). The write is staged and renamed into place, so saving
-  /// over the image this index was loaded from is safe. load maps the
-  /// image and adopts it through fromStoreCache.
+  /// arena, names and labels, and — for a routed index — the routing
+  /// tier as version-4 arena sections covering the routed prefix (an
+  /// unrouted tail stays unrouted). The write is staged and renamed
+  /// into place, so saving over the image this index was loaded from
+  /// is safe. load maps the image and adopts it through fromStoreCache.
   Status save(const std::string &Path) const;
   static Expected<ProfileIndex> load(const std::string &Path);
 

@@ -19,28 +19,13 @@ using namespace kast::detail;
 // Routing construction
 //===----------------------------------------------------------------------===//
 
-/// The quantized shortlist policy: none unless the options ask for
-/// it; the store's own sidecar when it has one (an image restore or
-/// ProfileIndex, which hangs it on its store); otherwise a standalone
-/// sidecar owned by the routing.
-static std::shared_ptr<const QuantizedStore>
-quantizedFor(const ProfileStore &Store, const RoutingOptions &Options) {
-  if (!IndexRouting::wantsQuantized(Options))
-    return nullptr;
-  if (std::shared_ptr<const QuantizedStore> Own = Store.quantizedShared())
-    return Own;
-  return std::make_shared<const QuantizedStore>(QuantizedStore::build(Store));
-}
-
 /// The one RoutingOptions <-> RoutingArenas mapping: calls
-/// Copy(option field, arena field) for each of the eight scalars the
-/// v4 image flattens the options to.
+/// Copy(option field, arena field) for each of the six scalars the v4
+/// image flattens the options to.
 template <typename OptionsT, typename ArenasT, typename CopyFn>
 static void mapOptionFields(OptionsT &O, ArenasT &A, CopyFn Copy) {
   Copy(O.MaxDocFrequency, A.MaxDocFrequency);
-  Copy(O.RerankBudget, A.RerankBudget);
   Copy(O.DefaultNProbe, A.DefaultNProbe);
-  Copy(O.QuantizedShortlist, A.QuantizedShortlist);
   Copy(O.Cluster.NumCentroids, A.ClusterNumCentroids);
   Copy(O.Cluster.MaxIterations, A.ClusterMaxIterations);
   Copy(O.Cluster.TrainingSample, A.ClusterTrainingSample);
@@ -56,15 +41,11 @@ IndexRouting::fit(const ProfileStore &Store, const RoutingOptions &Options,
   R->Inverted = InvertedIndex::build(Store, R->Router.assignments(),
                                      R->Router.numCentroids(),
                                      R->Options.MaxDocFrequency);
-  R->Quant = quantizedFor(Store, R->Options);
   return R;
 }
 
 std::shared_ptr<const IndexRouting>
-IndexRouting::alias(std::shared_ptr<const RoutingArenas> A,
-                    const ProfileStore &Store) {
-  assert(A->Covered <= Store.size() &&
-         "routing covers more profiles than the arena holds");
+IndexRouting::alias(std::shared_ptr<const RoutingArenas> A) {
   auto R = std::make_shared<IndexRouting>();
   mapOptionFields(R->Options, *A, [](auto &Option, const auto &Field) {
     Option = static_cast<std::remove_reference_t<decltype(Option)>>(Field);
@@ -74,7 +55,6 @@ IndexRouting::alias(std::shared_ptr<const RoutingArenas> A,
   R->Inverted = InvertedIndex::fromArenas(
       A->Covered, A->PrunedFeatures, A->FeatureHashes, A->ClusterBegin,
       A->PostingBegin, A->PostingIds, A->PostingValues, Keep);
-  R->Quant = quantizedFor(Store, R->Options);
   return R;
 }
 
@@ -88,14 +68,18 @@ IndexRouting::toArenas(std::shared_ptr<const IndexRouting> Routing) {
   A->Covered = R.covered();
   A->PrunedFeatures = R.Inverted.prunedFeatureCount();
   A->Assignments = R.Router.assignments();
-  A->Centroids = R.Router.centroids();
+  const ProfileStore &C = R.Router.centroids();
+  A->Centroids = ProfileStore::fromMapped(
+      C.offsets().data(), C.hashes().data(), C.values().data(),
+      C.selfDots().data(), C.norms().data(), C.size(), C.entryCount(),
+      Routing);
   A->FeatureHashes = R.Inverted.featureHashes();
   A->ClusterBegin = R.Inverted.clusterBegin();
   A->PostingBegin = R.Inverted.postingBegin();
   A->PostingIds = R.Inverted.postingIds();
   A->PostingValues = R.Inverted.postingValues();
-  // The views alias the routing's own arrays (the centroid store is a
-  // cheap copy: mapped centroids share, owned ones are small).
+  // Every view, the centroid store included, aliases the routing's
+  // own arrays; Backing keeps the routing alive for the export.
   A->Backing = std::move(Routing);
   return A;
 }
@@ -206,42 +190,10 @@ void SegmentScorer::routed(const FlatProfile &Query,
   IS.begin(Covered);
   R.Inverted.collectCandidates(Query, IS.Probes, IS);
 
-  // Tombstoned candidates leave before the budget cut, so they cannot
-  // use up the shortlist and crowd out live matches. They stay marked,
-  // and the zero stream skips dead positions anyway.
+  // Tombstoned candidates are never answers. They stay marked, and
+  // the zero stream skips dead positions anyway.
   if (Tombs0)
     std::erase_if(IS.Candidates, [&](uint32_t Id) { return (*Tombs0)[Id]; });
-
-  // Budget-prune before paying for exact dots. With a quantized
-  // sidecar the shortlist is selected by the int8 approximate dot over
-  // each candidate's *full* profile (off by at most Scale/2 · L1(q),
-  // see QuantizedStore); otherwise by the accumulated partial score,
-  // which only saw features surviving df-pruning in probed clusters.
-  const size_t Budget = R.Options.RerankBudget;
-  if (Budget > 0 && IS.Candidates.size() > Budget) {
-    if (const QuantizedStore *Quant = R.Quant.get()) {
-      for (uint32_t Id : IS.Candidates) {
-        const ProfileView V = Store0.view(Id);
-        const QuantizedStore::View QV = Quant->view(Id);
-        double Sim =
-            simd::dotQuantized(Query.Hashes.data(), Query.Values.data(),
-                               Query.size(), V.Hashes, QV.Values, QV.Size,
-                               QV.Scale);
-        // The query norm is a common positive factor; dividing by the
-        // candidate norm alone already ranks by cosine.
-        if (Request.Normalize)
-          Sim = V.Norm > 0.0 ? Sim / V.Norm : 0.0;
-        IS.Acc[Id] = Sim;
-      }
-    }
-    std::partial_sort(IS.Candidates.begin(), IS.Candidates.begin() + Budget,
-                      IS.Candidates.end(), [&](uint32_t L, uint32_t Rt) {
-                        if (IS.Acc[L] != IS.Acc[Rt])
-                          return IS.Acc[L] > IS.Acc[Rt];
-                        return L < Rt;
-                      });
-    IS.Candidates.resize(Budget);
-  }
 
   std::vector<Neighbor> &Hits = Scratch.Hits;
   Hits.clear();

@@ -16,16 +16,15 @@
 ///     probe-table scan, bit-identical to the scalar merge join).
 ///   - Routed: detail::IndexRouting covers positions [0, Covered) of
 ///     segment 0. Route → collect posting candidates → drop tombstoned
-///     ones → cut to RerankBudget (int8 quantized dot when a sidecar
-///     exists, else accumulated partial score) → exact re-rank.
-///     Everything past Covered is scanned exactly.
+///     ones → exact dot for every candidate. Everything past Covered
+///     is scanned exactly.
 ///
 /// The bit-identity argument (stated once, here). A candidate's score
 /// is the same exact dot the exact path computes, so its similarity is
 /// bit-identical. A non-candidate in [0, Covered) shares no surviving
 /// feature with the query inside the probed clusters; run
-/// exhaustively (all centroids, MaxDocFrequency 1.0, RerankBudget 0)
-/// it shares no feature at all, so its exact similarity is +0.0 (an
+/// exhaustively (all centroids, MaxDocFrequency 1.0) it shares no
+/// feature at all, so its exact similarity is +0.0 (an
 /// empty dot, or 0 / norm). The routed path therefore merges its
 /// ranked hits with a "zero stream" — unmarked live positions of
 /// [0, Covered) in ascending order, each at +0.0 — taking the scored
@@ -33,8 +32,7 @@
 /// (sim desc, Pos asc) total order the (K+1)-th ranked hit is strictly
 /// dominated by K others, so merging only the top-K scored hits with
 /// the zero stream loses nothing: the result equals the exact scan's,
-/// tie-break order included. With a budget, candidates cut from the
-/// shortlist stay marked and are simply not returned.
+/// tie-break order included.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,23 +68,13 @@ namespace detail {
 /// The immutable routing tier over a prefix of one arena: router,
 /// posting lists, and the options both were built with. Shared by
 /// pointer, so copied indexes and snapshots alias one fit. Built only
-/// through the two constructors below, which both take the quantized
-/// sidecar from \p Store when it has one and otherwise build a
-/// standalone one (when the options ask for a quantized shortlist).
+/// through the two constructors below.
 struct IndexRouting {
   ClusterRouter Router;
   InvertedIndex Inverted;
   RoutingOptions Options;
-  /// The int8 scan tier when wantsQuantized(Options), else null.
-  /// Self-contained: valid after the owning store appends.
-  std::shared_ptr<const QuantizedStore> Quant;
 
   size_t covered() const { return Router.numProfiles(); }
-
-  /// Whether \p Options use the quantized shortlist tier.
-  static bool wantsQuantized(const RoutingOptions &Options) {
-    return Options.RerankBudget > 0 && Options.QuantizedShortlist;
-  }
 
   /// Fits the router (k-means) and the posting lists over \p Store;
   /// deterministic for fixed options regardless of \p Threads.
@@ -96,9 +84,9 @@ struct IndexRouting {
 
   /// Aliases flat routing arenas (v4 image sections or a toArenas
   /// export): no refit, no posting rebuild; the result keeps \p Arenas
-  /// alive. The caller has checked Arenas->Covered.
+  /// alive. The caller has checked Arenas->Covered against the store.
   static std::shared_ptr<const IndexRouting>
-  alias(std::shared_ptr<const RoutingArenas> Arenas, const ProfileStore &Store);
+  alias(std::shared_ptr<const RoutingArenas> Arenas);
 
   /// Exports \p Routing as flat arena views (the v4 image sections),
   /// pinning \p Routing for the export's lifetime.

@@ -163,25 +163,12 @@ void QueryServer::gatherBatch(std::vector<Request *> &Batch) {
     B.reset();
   }
 
-  // Phase 2: admit stragglers until the batch is full or the wait
-  // budget is spent. Draining a backlog never waits; the budget only
-  // applies once the queue runs dry mid-gather.
-  const auto Deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::microseconds(Options.MaxWaitMicros);
-  B.reset();
-  while (Batch.size() < Options.MaxBatch) {
-    if (Queue.tryPop(R)) {
-      Batch.push_back(R);
-      B.reset();
-      continue;
-    }
-    if (Stopping.load(std::memory_order_acquire))
-      break; // Execute what we have; the loop re-enters to drain.
-    if (std::chrono::steady_clock::now() >= Deadline)
-      break;
-    B.pause();
-  }
+  // Phase 2: drain what is already queued, up to MaxBatch, and
+  // execute at once. Work-conserving: the batcher never idles while it
+  // holds a request. Under load the backlog that builds while the
+  // previous batch executes is what fills the next one.
+  while (Batch.size() < Options.MaxBatch && Queue.tryPop(R))
+    Batch.push_back(R);
 }
 
 void QueryServer::executeBatch(std::vector<Request *> &Batch) {

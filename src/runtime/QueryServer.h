@@ -67,14 +67,10 @@ enum class OverflowPolicy {
 };
 
 struct QueryServerOptions {
-  /// Most requests one admission batch may carry. Larger batches
-  /// amortize more per-batch cost but add queueing delay under light
-  /// load (bounded by MaxWaitMicros).
+  /// Most requests one admission batch may carry. The batcher never
+  /// waits to fill a batch: it takes what is queued (up to this many)
+  /// and executes, so batches grow only with the backlog.
   size_t MaxBatch = 32;
-  /// How long the batcher waits for stragglers after admitting the
-  /// first request of a batch before executing a partial batch. The
-  /// tail-latency price of batching under light load.
-  size_t MaxWaitMicros = 200;
   /// Admission queue capacity (rounded up to a power of two). This
   /// bound IS the backpressure: submit() of a full queue blocks or
   /// rejects, per Overflow.
@@ -152,9 +148,9 @@ private:
 
   std::future<QueryResponse> submitRequest(Request *R);
   void batcherLoop();
-  /// Pops up to MaxBatch requests, waiting MaxWaitMicros for
-  /// stragglers after the first. Returns an empty batch on idle
-  /// timeout or shutdown-with-empty-queue.
+  /// Waits for a first request, then pops whatever else is already
+  /// queued, up to MaxBatch in all. Returns an empty batch on
+  /// shutdown-with-empty-queue.
   void gatherBatch(std::vector<Request *> &Batch);
   /// Executes \p Batch against one snapshot and resolves every
   /// promise. Groups requests by (K, Normalize) so mixed-parameter

@@ -32,9 +32,6 @@ namespace detail {
 double dotExactAvx2(const uint64_t *AHashes, const double *AValues,
                     size_t ASize, const uint64_t *BHashes,
                     const double *BValues, size_t BSize);
-double dotQuantizedAvx2(const uint64_t *QHashes, const double *QValues,
-                        size_t QSize, const uint64_t *SHashes,
-                        const int8_t *SValues, size_t SSize, double Scale);
 double dotScanAvx2(const uint64_t *BucketHashes, const double *BucketValues,
                    int Shift, double *Matches, const uint64_t *SHashes,
                    const double *SValues, size_t SSize);
@@ -44,18 +41,16 @@ double dotScanAvx2(const uint64_t *BucketHashes, const double *BucketValues,
 namespace {
 
 /// Two-pointer merge intersection: finds every (I, J) with
-/// AHashes[I] == BHashes[J] in ascending hash order and feeds the pair
-/// of values to \p Match, which accumulates one f64 addition per pair.
-/// Every other strategy in this file must produce this exact addition
-/// sequence. \p Sum is the accumulator's starting value: the SIMD
-/// block kernels pass their running sum so the scalar tail continues
-/// it (folding a separately-accumulated tail in afterwards would
-/// change the addition order and break bit-identity).
-template <typename AValueT, typename BValueT, typename MatchFn>
-double mergeIntersect(const uint64_t *AHashes, const AValueT *AValues,
+/// AHashes[I] == BHashes[J] in ascending hash order and accumulates
+/// AValues[I] * BValues[J], one f64 addition per pair. Every other
+/// strategy in this file must produce this exact addition sequence.
+/// \p Sum is the accumulator's starting value: the SIMD block kernels
+/// pass their running sum so the scalar tail continues it (folding a
+/// separately-accumulated tail in afterwards would change the addition
+/// order and break bit-identity).
+double mergeIntersect(const uint64_t *AHashes, const double *AValues,
                       size_t ASize, const uint64_t *BHashes,
-                      const BValueT *BValues, size_t BSize, MatchFn Match,
-                      double Sum = 0.0) {
+                      const double *BValues, size_t BSize, double Sum = 0.0) {
   size_t I = 0, J = 0;
   while (I < ASize && J < BSize) {
     const uint64_t HA = AHashes[I], HB = BHashes[J];
@@ -64,7 +59,7 @@ double mergeIntersect(const uint64_t *AHashes, const AValueT *AValues,
     } else if (HB < HA) {
       ++J;
     } else {
-      Sum += Match(AValues[I], BValues[J]);
+      Sum += AValues[I] * BValues[J];
       ++I;
       ++J;
     }
@@ -102,12 +97,12 @@ size_t gallopLowerBound(const uint64_t *Hashes, size_t Lo, size_t Size,
 /// Skewed intersection: walk the small side in order, gallop the large
 /// side forward to each key. Matches are discovered in ascending hash
 /// order of the small side — which is ascending hash order outright —
-/// so the accumulation sequence equals mergeIntersect's.
-template <typename SValueT, typename LValueT, typename MatchFn>
-double gallopIntersect(const uint64_t *SmallHashes, const SValueT *SmallValues,
+/// so the accumulation sequence equals mergeIntersect's (f64
+/// multiplication commutes bit-for-bit, so which side is "small" does
+/// not matter either).
+double gallopIntersect(const uint64_t *SmallHashes, const double *SmallValues,
                        size_t SmallSize, const uint64_t *LargeHashes,
-                       const LValueT *LargeValues, size_t LargeSize,
-                       MatchFn Match) {
+                       const double *LargeValues, size_t LargeSize) {
   double Sum = 0.0;
   size_t J = 0;
   for (size_t I = 0; I < SmallSize; ++I) {
@@ -116,7 +111,7 @@ double gallopIntersect(const uint64_t *SmallHashes, const SValueT *SmallValues,
     if (J == LargeSize)
       break;
     if (LargeHashes[J] == Key) {
-      Sum += Match(SmallValues[I], LargeValues[J]);
+      Sum += SmallValues[I] * LargeValues[J];
       ++J;
     }
   }
@@ -173,39 +168,7 @@ double dotExactNeon(const uint64_t *AHashes, const double *AValues,
       J += 2;
   }
   return mergeIntersect(AHashes + I, AValues + I, ASize - I, BHashes + J,
-                        BValues + J, BSize - J,
-                        [](double A, double B) { return A * B; }, Sum);
-}
-
-double dotQuantizedNeon(const uint64_t *QHashes, const double *QValues,
-                        size_t QSize, const uint64_t *SHashes,
-                        const int8_t *SValues, size_t SSize, double Scale) {
-  double Sum = 0.0;
-  size_t I = 0, J = 0;
-  while (I + 2 <= QSize && J + 2 <= SSize) {
-    const uint64x2_t VA = vld1q_u64(QHashes + I);
-    const uint64x2_t VB = vld1q_u64(SHashes + J);
-    const uint64x2_t VBSwap = vextq_u64(VB, VB, 1);
-    const uint64x2_t Eq0 = vceqq_u64(VA, VB);
-    const uint64x2_t Eq1 = vceqq_u64(VA, VBSwap);
-    for (int L = 0; L < 2; ++L) {
-      const uint64_t M0 = L == 0 ? vgetq_lane_u64(Eq0, 0) : vgetq_lane_u64(Eq0, 1);
-      const uint64_t M1 = L == 0 ? vgetq_lane_u64(Eq1, 0) : vgetq_lane_u64(Eq1, 1);
-      if (M0)
-        Sum += QValues[I + L] * static_cast<double>(SValues[J + L]);
-      else if (M1)
-        Sum += QValues[I + L] * static_cast<double>(SValues[J + ((L + 1) & 1)]);
-    }
-    const uint64_t AMax = QHashes[I + 1], BMax = SHashes[J + 1];
-    if (AMax <= BMax)
-      I += 2;
-    if (BMax <= AMax)
-      J += 2;
-  }
-  Sum = mergeIntersect(
-      QHashes + I, QValues + I, QSize - I, SHashes + J, SValues + J, SSize - J,
-      [](double Q, int8_t S) { return Q * static_cast<double>(S); }, Sum);
-  return Scale * Sum;
+                        BValues + J, BSize - J, Sum);
 }
 
 #endif // __aarch64__
@@ -282,8 +245,7 @@ bool scalarForced() {
 
 double dotScalar(const uint64_t *AHashes, const double *AValues, size_t ASize,
                  const uint64_t *BHashes, const double *BValues, size_t BSize) {
-  return mergeIntersect(AHashes, AValues, ASize, BHashes, BValues, BSize,
-                        [](double A, double B) { return A * B; });
+  return mergeIntersect(AHashes, AValues, ASize, BHashes, BValues, BSize);
 }
 
 double dotExact(const uint64_t *AHashes, const double *AValues, size_t ASize,
@@ -292,10 +254,8 @@ double dotExact(const uint64_t *AHashes, const double *AValues, size_t ASize,
     return dotScalar(AHashes, AValues, ASize, BHashes, BValues, BSize);
   if (shouldGallop(ASize, BSize)) {
     if (ASize <= BSize)
-      return gallopIntersect(AHashes, AValues, ASize, BHashes, BValues, BSize,
-                             [](double A, double B) { return A * B; });
-    return gallopIntersect(BHashes, BValues, BSize, AHashes, AValues, ASize,
-                           [](double B, double A) { return B * A; });
+      return gallopIntersect(AHashes, AValues, ASize, BHashes, BValues, BSize);
+    return gallopIntersect(BHashes, BValues, BSize, AHashes, AValues, ASize);
   }
   switch (activeKernel()) {
 #if defined(KAST_SIMD_AVX2)
@@ -309,49 +269,6 @@ double dotExact(const uint64_t *AHashes, const double *AValues, size_t ASize,
 #endif
   default:
     return dotScalar(AHashes, AValues, ASize, BHashes, BValues, BSize);
-  }
-}
-
-double dotQuantizedScalar(const uint64_t *QHashes, const double *QValues,
-                          size_t QSize, const uint64_t *SHashes,
-                          const int8_t *SValues, size_t SSize, double Scale) {
-  return Scale * mergeIntersect(QHashes, QValues, QSize, SHashes, SValues,
-                                SSize, [](double Q, int8_t S) {
-                                  return Q * static_cast<double>(S);
-                                });
-}
-
-double dotQuantized(const uint64_t *QHashes, const double *QValues,
-                    size_t QSize, const uint64_t *SHashes,
-                    const int8_t *SValues, size_t SSize, double Scale) {
-  if (scalarForced())
-    return dotQuantizedScalar(QHashes, QValues, QSize, SHashes, SValues, SSize,
-                              Scale);
-  if (shouldGallop(QSize, SSize)) {
-    if (QSize <= SSize)
-      return Scale * gallopIntersect(QHashes, QValues, QSize, SHashes, SValues,
-                                     SSize, [](double Q, int8_t S) {
-                                       return Q * static_cast<double>(S);
-                                     });
-    return Scale * gallopIntersect(SHashes, SValues, SSize, QHashes, QValues,
-                                   QSize, [](int8_t S, double Q) {
-                                     return Q * static_cast<double>(S);
-                                   });
-  }
-  switch (activeKernel()) {
-#if defined(KAST_SIMD_AVX2)
-  case DotKernel::Avx2:
-    return detail::dotQuantizedAvx2(QHashes, QValues, QSize, SHashes, SValues,
-                                    SSize, Scale);
-#endif
-#if defined(__aarch64__)
-  case DotKernel::Neon:
-    return dotQuantizedNeon(QHashes, QValues, QSize, SHashes, SValues, SSize,
-                            Scale);
-#endif
-  default:
-    return dotQuantizedScalar(QHashes, QValues, QSize, SHashes, SValues, SSize,
-                              Scale);
   }
 }
 

@@ -9,8 +9,8 @@
 /// over two hash-sorted sparse vectors — restructured for vector
 /// hardware. Every layer bottoms out here: Gram tiles
 /// (core/KernelMatrix), exact retrieval scans (index/ProfileIndex,
-/// index/IndexService), centroid routing (index/ClusterRouter), and
-/// the quantized scan tier all call through this dispatch layer.
+/// index/IndexService) and centroid routing (index/ClusterRouter) all
+/// call through this dispatch layer.
 ///
 /// Three implementations of the same contract:
 ///
@@ -45,16 +45,6 @@
 /// side replaces the linear merge. The strategy switch is a pure
 /// performance decision — order of matches, and hence the sum, is
 /// unchanged.
-///
-/// The quantized variants implement the scan tier's asymmetric dot
-/// (ADC): the stored side is int8 with one f64 scale per profile, the
-/// query side stays f64. dotQuantized returns
-///     Scale * sum over matches of (queryValue * int8Value)
-/// with the inner sum accumulated in f64 match order, so the quantized
-/// kernels are bit-identical across implementations too; only the
-/// quantization itself (value -> int8) approximates, with per-pair
-/// error bounded by Scale/2 * l1(query restricted to matches) — see
-/// core/ProfileStore.h's QuantizedStore.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -99,20 +89,6 @@ double dotExact(const uint64_t *AHashes, const double *AValues, size_t ASize,
 /// differential baseline and forced-scalar path).
 double dotScalar(const uint64_t *AHashes, const double *AValues, size_t ASize,
                  const uint64_t *BHashes, const double *BValues, size_t BSize);
-
-/// Quantized (asymmetric) inner product: f64 query side against an
-/// int8 stored side with one scale. Returns
-/// Scale * sum(QValues[i] * SValues[j]) over hash matches, inner sum
-/// in f64 match order. Dispatched like dotExact; bit-identical to
-/// dotQuantizedScalar for all inputs.
-double dotQuantized(const uint64_t *QHashes, const double *QValues,
-                    size_t QSize, const uint64_t *SHashes,
-                    const int8_t *SValues, size_t SSize, double Scale);
-
-/// Reference scalar implementation of dotQuantized.
-double dotQuantizedScalar(const uint64_t *QHashes, const double *QValues,
-                          size_t QSize, const uint64_t *SHashes,
-                          const int8_t *SValues, size_t SSize, double Scale);
 
 /// One-query-against-many exact scan: the query's features go into a
 /// bucketized probe table once, then each stored profile's dot costs

@@ -7,9 +7,9 @@
 // The AVX2 kernels behind util/SimdDot.h — the only translation unit
 // compiled with -mavx2 (CMake adds it to kast_util, and defines
 // KAST_SIMD_AVX2 for the dispatcher, only when the compiler takes the
-// flag). Callers reach these through simd::dotExact / dotQuantized,
-// which have already verified AVX2 support via cpuid, so no runtime
-// check is repeated here.
+// flag). Callers reach these through simd::dotExact and
+// simd::ExactScan, which have already verified AVX2 support via
+// cpuid, so no runtime check is repeated here.
 //
 // Algorithm: 4x4 all-pairs block intersection. Load four u64 hashes
 // from each side, compare the A block against the B block and its
@@ -54,26 +54,6 @@ double mergeTail(double Sum, const uint64_t *AHashes, const double *AValues,
       ++J;
     else {
       Sum += AValues[I] * BValues[J];
-      ++I;
-      ++J;
-    }
-  }
-  return Sum;
-}
-
-double mergeTailQuantized(double Sum, const uint64_t *QHashes,
-                          const double *QValues, size_t QSize,
-                          const uint64_t *SHashes, const int8_t *SValues,
-                          size_t SSize) {
-  size_t I = 0, J = 0;
-  while (I < QSize && J < SSize) {
-    const uint64_t HQ = QHashes[I], HS = SHashes[J];
-    if (HQ < HS)
-      ++I;
-    else if (HS < HQ)
-      ++J;
-    else {
-      Sum += QValues[I] * static_cast<double>(SValues[J]);
       ++I;
       ++J;
     }
@@ -140,34 +120,6 @@ double dotExactAvx2(const uint64_t *AHashes, const double *AValues,
   }
   return mergeTail(Sum, AHashes + I, AValues + I, ASize - I, BHashes + J,
                    BValues + J, BSize - J);
-}
-
-double dotQuantizedAvx2(const uint64_t *QHashes, const double *QValues,
-                        size_t QSize, const uint64_t *SHashes,
-                        const int8_t *SValues, size_t SSize, double Scale) {
-  double Sum = 0.0;
-  size_t I = 0, J = 0;
-  while (I + 4 <= QSize && J + 4 <= SSize) {
-    const __m256i VQ =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(QHashes + I));
-    const __m256i VS =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(SHashes + J));
-    const unsigned Eq = compareBlocks(VQ, VS);
-    unsigned Lanes = (Eq | (Eq >> 4) | (Eq >> 8) | (Eq >> 12)) & 0xF;
-    while (Lanes) {
-      const unsigned L = static_cast<unsigned>(__builtin_ctz(Lanes));
-      Lanes &= Lanes - 1;
-      const unsigned K =
-          static_cast<unsigned>(__builtin_ctz((Eq >> L) & 0x1111u)) >> 2;
-      Sum += QValues[I + L] * static_cast<double>(SValues[J + ((L + K) & 3)]);
-    }
-    const uint64_t QMax = QHashes[I + 3], SMax = SHashes[J + 3];
-    I += static_cast<size_t>(QMax <= SMax) * 4;
-    J += static_cast<size_t>(SMax <= QMax) * 4;
-  }
-  Sum = mergeTailQuantized(Sum, QHashes + I, QValues + I, QSize - I,
-                           SHashes + J, SValues + J, SSize - J);
-  return Scale * Sum;
 }
 
 double dotScanAvx2(const uint64_t *BucketHashes, const double *BucketValues,

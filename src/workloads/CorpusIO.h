@@ -51,15 +51,14 @@ loadCorpusDirectory(const std::string &Dir);
 /// Writes one flat image per shard — "<Dir>/shard-NNN.kfi",
 /// zero-padded, one per element of \p Shards — creating \p Dir if
 /// missing. This is the persistence format of index/IndexService's
-/// toShardCaches(). Each image carries the shard's quantized sidecar
-/// (when built) and its routing arenas as v4 sections, so a routed
-/// service restores via loadShardedProfileImages +
-/// IndexService::fromShardCaches with zero-copy stores and no refit or
-/// posting rebuild. The save is three-phase (write "*.kfi.tmp"
-/// staging files, sweep higher-numbered leftovers of a previous
-/// generation, rename into place), so no crash point leaves a
-/// directory that loads silently wrong; an empty \p Shards is
-/// refused.
+/// toShardCaches(). Each image carries the shard's routing arenas as
+/// v4 sections, so a routed service restores via
+/// loadShardedProfileImages + IndexService::fromShardCaches with
+/// zero-copy stores and no refit or posting rebuild. The save is
+/// three-phase (write "*.kfi.tmp" staging files, sweep higher-numbered
+/// leftovers of a previous generation, rename into place), so no crash
+/// point leaves a directory that loads silently wrong; an empty
+/// \p Shards is refused.
 Status writeShardedProfileImages(const std::vector<ProfileStoreCache> &Shards,
                                  const std::string &Dir);
 

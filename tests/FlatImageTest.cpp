@@ -8,7 +8,8 @@
 // round-trips a ProfileStoreCache bit-exactly whether it is mmapped or
 // read through the buffered fallback, the mapping survives unlink,
 // writer mutation (copy-on-write promotion) and a rewrite of its own
-// path, the quantized and routing sidecars ride along, and every
+// path, the routing sections ride along, images carrying the retired
+// int8 sidecar still open and answer the same, and every
 // corruption mode — truncation, flipped section bytes, a tampered
 // section table, a wrong kernel hash, a misaligned section, a retired
 // section id, foreign magic — fails loudly with a diagnostic naming
@@ -25,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdlib>
@@ -190,11 +192,12 @@ TEST(FlatImageTest, BufferedFallbackMatchesMappedRead) {
   EXPECT_TRUE(Heap->Store.isMapped());
 }
 
-TEST(FlatImageTest, QuantizedAndRoutingSidecarsRideAlong) {
+TEST(FlatImageTest, RoutedImagesCarryNoRetiredSidecar) {
   Rng R(90909);
   ProfileStoreCache Corpus = makeStoreCache(R, 15, "k");
-  // A routed shard with a quantized shortlist exports both sidecars:
-  // the int8 codes hang on the store, the routing rides as arenas.
+  // A routed shard exports its routing as arenas. The retired
+  // shortlist fields are set and must leave no trace in the image: no
+  // int8 sections, and the routing-meta slots they used stay zero.
   IndexService Service(Corpus.KernelName, {.Shards = 1});
   for (size_t I = 0; I < Corpus.Store.size(); ++I)
     Service.add(Corpus.Names.str(I), Corpus.Labels.str(I),
@@ -206,10 +209,21 @@ TEST(FlatImageTest, QuantizedAndRoutingSidecarsRideAlong) {
   Service.rebuildRouting(Route, 1);
   std::vector<ProfileStoreCache> Exported = Service.toShardCaches();
   const ProfileStoreCache &Cache = Exported[0];
-  ASSERT_NE(Cache.Store.quantized(), nullptr);
   ASSERT_NE(Cache.Routing, nullptr);
   const std::string Path = tempImagePath("sidecars");
   ASSERT_TRUE(writeProfileStoreImageFile(Cache, Path).ok());
+
+  const std::string Bytes = readFileBytes(Path);
+  EXPECT_EQ(readU32(Bytes, 8), 4u);
+  EXPECT_EQ(findTableEntry(Bytes, FlatSectionId::RetiredQuantValues),
+            std::string::npos);
+  EXPECT_EQ(findTableEntry(Bytes, FlatSectionId::RetiredQuantScales),
+            std::string::npos);
+  const size_t Meta = findTableEntry(Bytes, FlatSectionId::RouteMeta);
+  ASSERT_NE(Meta, std::string::npos);
+  const size_t MetaAt = static_cast<size_t>(readU64(Bytes, Meta + 8));
+  EXPECT_EQ(readU32(Bytes, MetaAt + 12), 0u); // reserved flags
+  EXPECT_EQ(readU64(Bytes, MetaAt + 24), 0u); // reserved slot
 
   FlatImageReadOptions Deep;
   Deep.DeepValidate = true;
@@ -218,17 +232,7 @@ TEST(FlatImageTest, QuantizedAndRoutingSidecarsRideAlong) {
   ASSERT_NE(Loaded->Routing, nullptr);
   EXPECT_EQ(Loaded->Routing->Covered, Cache.Routing->Covered);
   EXPECT_EQ(Loaded->Routing->Assignments, Cache.Routing->Assignments);
-  EXPECT_EQ(Loaded->Routing->RerankBudget, 6u);
-  EXPECT_TRUE(Loaded->Routing->QuantizedShortlist);
-  const QuantizedStore *Q = Loaded->Store.quantized();
-  ASSERT_NE(Q, nullptr);
-  const QuantizedStore *Truth = Cache.Store.quantized();
-  ASSERT_EQ(Q->size(), Truth->size());
-  ASSERT_EQ(Q->entryCount(), Truth->entryCount());
-  EXPECT_EQ(Q->values(), Truth->values());
-  for (size_t I = 0; I < Q->size(); ++I)
-    EXPECT_EQ(std::bit_cast<uint64_t>(Q->scale(I)),
-              std::bit_cast<uint64_t>(Truth->scale(I)));
+  expectStoresBitExact(Loaded->Store, Cache.Store);
 }
 
 TEST(FlatImageTest, EmptyStoreRoundTrips) {
@@ -317,7 +321,6 @@ TEST(FlatImageTest, WriterPromotionLeavesTheImageUntouched) {
 TEST(FlatImageTest, RewritingAnImageFromItsOwnMappingIsSafe) {
   Rng R(151617);
   ProfileStoreCache Cache = makeStoreCache(R, 14, "k");
-  Cache.Store.buildQuantized();
   const std::string Path = tempImagePath("rewrite_self");
   ASSERT_TRUE(writeProfileStoreImageFile(Cache, Path).ok());
   const std::string Before = readFileBytes(Path);
@@ -338,9 +341,6 @@ TEST(FlatImageTest, RewritingAnImageFromItsOwnMappingIsSafe) {
   EXPECT_EQ(Again->Names, Cache.Names);
   EXPECT_EQ(Again->Labels, Cache.Labels);
   expectStoresBitExact(Again->Store, Cache.Store);
-  ASSERT_NE(Again->Store.quantized(), nullptr);
-  EXPECT_EQ(Again->Store.quantized()->values(),
-            Cache.Store.quantized()->values());
   // The store loaded before the rewrite still reads the old inode.
   expectStoresBitExact(Loaded->Store, Cache.Store);
 }
@@ -685,7 +685,6 @@ IndexService makeRoutedService(const ProfileStoreCache &Cache) {
   Route.Cluster.NumCentroids = 4;
   Route.MaxDocFrequency = 0.9;
   Route.DefaultNProbe = 2;
-  Route.RerankBudget = 8;
   Service.rebuildRouting(Route, 1);
   return Service;
 }
@@ -734,7 +733,7 @@ TEST(FlatImageTest, RoutedImageRestoresWithoutRefitOrRebuild) {
   EXPECT_EQ(postingRebuildCount(), Rebuilds);
 
   // Mapped-arena answers are bit-identical to the fitted service's,
-  // routed (pruned, budgeted) and exact alike.
+  // routed (pruned) and exact alike.
   auto Table = TokenTable::create();
   BlendedSpectrumKernel Kernel(3, 0.8, /*Weighted=*/true, /*CutWeight=*/2);
   for (int I = 0; I < 6; ++I) {
@@ -905,6 +904,144 @@ TEST(FlatImageTest, SectionlessV3ImagesStillLoadUnrouted) {
   ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
   EXPECT_EQ(Loaded->Routing, nullptr);
   expectStoresBitExact(Loaded->Store, Cache.Store);
+}
+
+/// The sections of a flat image in table order, as (id, bytes).
+std::vector<std::pair<uint32_t, std::string>>
+imageSections(const std::string &Bytes) {
+  std::vector<std::pair<uint32_t, std::string>> Sections;
+  const uint32_t SectionCount = readU32(Bytes, 12);
+  for (uint32_t I = 0; I < SectionCount; ++I) {
+    const size_t Entry = 64 + static_cast<size_t>(I) * 32;
+    Sections.push_back(
+        {readU32(Bytes, Entry),
+         Bytes.substr(static_cast<size_t>(readU64(Bytes, Entry + 8)),
+                      static_cast<size_t>(readU64(Bytes, Entry + 16)))});
+  }
+  return Sections;
+}
+
+/// Lays \p Sections out the way the writer does (in order, each
+/// page-aligned, each checksummed) under the header fields of
+/// \p Header, and re-signs the header.
+std::string layOutImage(const std::string &Header,
+                        const std::vector<std::pair<uint32_t, std::string>>
+                            &Sections) {
+  std::string Out = Header.substr(0, 64);
+  Out.resize(64 + Sections.size() * 32);
+  Out[12] = static_cast<char>(Sections.size());
+  for (size_t I = 0; I < Sections.size(); ++I) {
+    const size_t Offset = (Out.size() + 4095) / 4096 * 4096;
+    const std::string &Data = Sections[I].second;
+    const size_t Entry = 64 + I * 32;
+    writeU64(Out, Entry, Sections[I].first); // id, then reserved u32 0
+    writeU64(Out, Entry + 8, Offset);
+    writeU64(Out, Entry + 16, Data.size());
+    writeU64(Out, Entry + 24, checksumBytes(Data.data(), Data.size()));
+    Out.resize(Offset);
+    Out += Data;
+  }
+  fixHeaderSum(Out);
+  return Out;
+}
+
+TEST(FlatImageTest, ParentLayoutWithInt8SidecarOpensAndAnswersIdentically) {
+  // Images written while the int8 shortlist tier existed carry its
+  // codes and scales as sections 9/10 (between LABELS and the routing
+  // sections) and set routing-meta bit 0 and the re-rank budget slot.
+  // Rebuild exactly that layout from a current image (byte for byte
+  // what the old writer produced for the same shard with budget 96):
+  // it must open, shallow, deep and buffered, and answer bit for bit
+  // like the current image; and re-saving it writes the current
+  // layout.
+  Rng R(484950);
+  const std::string Path = tempImagePath("parent_layout_current");
+  IndexService Service = writeRoutedImage(R, 40, Path);
+  const std::string Current = readFileBytes(Path);
+  Expected<ProfileStoreCache> Plain = readProfileStoreImageFile(Path);
+  ASSERT_TRUE(Plain.hasValue()) << Plain.message();
+  const ProfileStore &Store = Plain->Store;
+
+  // The sidecar as the old writer built it: per-profile scale
+  // maxAbs / 127 and round-to-nearest int8 codes.
+  std::string Codes(Store.entryCount(), '\0');
+  std::string Scales(Store.size() * 8, '\0');
+  for (size_t I = 0; I < Store.size(); ++I) {
+    const ProfileView V = Store.view(I);
+    double MaxAbs = 0.0;
+    for (size_t E = 0; E < V.Size; ++E)
+      MaxAbs = std::max(MaxAbs, std::abs(V.Values[E]));
+    const double Scale = MaxAbs > 0.0 ? MaxAbs / 127.0 : 0.0;
+    const double Inv = Scale > 0.0 ? 1.0 / Scale : 0.0;
+    writeU64(Scales, I * 8, std::bit_cast<uint64_t>(Scale));
+    const size_t Begin = static_cast<size_t>(Store.offsets()[I]);
+    for (size_t E = 0; E < V.Size; ++E)
+      Codes[Begin + E] = static_cast<char>(std::lround(V.Values[E] * Inv));
+  }
+  std::vector<std::pair<uint32_t, std::string>> Sections =
+      imageSections(Current);
+  for (auto &[Id, Data] : Sections)
+    if (Id == static_cast<uint32_t>(FlatSectionId::RouteMeta)) {
+      Data[12] = 1;           // flags: the old QuantizedShortlist bit
+      writeU64(Data, 24, 96); // the old RerankBudget
+    }
+  auto Labels = std::find_if(Sections.begin(), Sections.end(), [](auto &S) {
+    return S.first == static_cast<uint32_t>(FlatSectionId::Labels);
+  });
+  ASSERT_NE(Labels, Sections.end());
+  Sections.insert(
+      Labels + 1,
+      {{static_cast<uint32_t>(FlatSectionId::RetiredQuantValues), Codes},
+       {static_cast<uint32_t>(FlatSectionId::RetiredQuantScales), Scales}});
+  const std::string Parent = layOutImage(Current, Sections);
+  const std::string ParentPath = tempImagePath("parent_layout");
+  writeFileBytes(ParentPath, Parent);
+  EXPECT_EQ(readU32(Parent, 8), 4u);
+  EXPECT_NE(findTableEntry(Parent, FlatSectionId::RetiredQuantValues),
+            std::string::npos);
+
+  auto Table = TokenTable::create();
+  BlendedSpectrumKernel Kernel(3, 0.8, /*Weighted=*/true, /*CutWeight=*/2);
+  std::vector<KernelProfile> Queries;
+  for (int I = 0; I < 8; ++I)
+    Queries.push_back(Kernel.profile(randomString(Table, R, 24, 6)));
+
+  FlatImageReadOptions Deep;
+  Deep.DeepValidate = true;
+  FlatImageReadOptions Buffered;
+  Buffered.ForceBuffered = true;
+  for (const FlatImageReadOptions &Options :
+       {FlatImageReadOptions{}, Deep, Buffered}) {
+    Expected<ProfileStoreCache> Loaded =
+        readProfileStoreImageFile(ParentPath, Options);
+    ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
+    ASSERT_NE(Loaded->Routing, nullptr);
+    expectStoresBitExact(Loaded->Store, Store);
+    std::vector<ProfileStoreCache> Caches;
+    Caches.push_back(Loaded.take());
+    Expected<IndexService> Restored = IndexService::fromShardCaches(
+        std::move(Caches), {.Shards = 1, .SealThreshold = 8});
+    ASSERT_TRUE(Restored.hasValue()) << Restored.message();
+    ASSERT_EQ(Restored->snapshot().routedShardCount(), 1u);
+    for (size_t Q = 0; Q < Queries.size(); ++Q)
+      for (size_t NProbe : {size_t(0), size_t(1), size_t(4)}) {
+        const std::string What =
+            "q" + std::to_string(Q) + " nprobe " + std::to_string(NProbe);
+        expectHitsBitIdentical(
+            Restored->queryApprox(Queries[Q], 5, true, NProbe, 1),
+            Service.queryApprox(Queries[Q], 5, true, NProbe, 1), What);
+        expectHitsBitIdentical(Restored->query(Queries[Q], 5, true, 1),
+                               Service.query(Queries[Q], 5, true, 1), What);
+      }
+
+    // Re-saving drops the retired sections and zeroes the retired
+    // slots: the bytes are exactly the current writer's.
+    const std::string Resaved = tempImagePath("parent_layout_resaved");
+    ASSERT_TRUE(
+        writeProfileStoreImageFile(Restored->toShardCaches()[0], Resaved)
+            .ok());
+    EXPECT_EQ(readFileBytes(Resaved), Current);
+  }
 }
 
 } // namespace

@@ -398,18 +398,15 @@ TEST(IndexServiceTest, V3ImagesCarryRoutingAndSurviveWriters) {
   Route.Cluster.NumCentroids = 4;
   Route.MaxDocFrequency = 0.6;
   Route.DefaultNProbe = 2;
-  Route.RerankBudget = 12;
-  Route.QuantizedShortlist = true;
   Service.rebuildRouting(Route, 1);
   ASSERT_EQ(Service.snapshot().routedShardCount(), Options.Shards);
 
-  // The export carries the routing tier as flat arena views and the
-  // quantized store, so each shard persists as one image.
+  // The export carries the routing tier as flat arena views, so each
+  // shard persists as one image.
   std::vector<ProfileStoreCache> Exported = Service.toShardCaches();
   for (const ProfileStoreCache &Cache : Exported) {
     ASSERT_NE(Cache.Routing, nullptr);
     EXPECT_EQ(Cache.Routing->Covered, Cache.Store.size());
-    EXPECT_NE(Cache.Store.quantized(), nullptr);
   }
   std::string Dir = testing::TempDir() + "/kast_restart_routed_v3";
   std::filesystem::remove_all(Dir);
@@ -423,9 +420,8 @@ TEST(IndexServiceTest, V3ImagesCarryRoutingAndSurviveWriters) {
   ASSERT_TRUE(Restored.hasValue()) << Restored.message();
   EXPECT_EQ(Restored->snapshot().routedShardCount(), Options.Shards);
 
-  // Routed (pruned, quantized-shortlist) answers match the original
-  // service bit for bit — router, postings, and int8 codes all came
-  // through the image.
+  // Routed (pruned) answers match the original service bit for bit —
+  // router and postings both came through the image.
   NamedProfiles Q = makeProfiles(kernel(), 5, "q", 72);
   for (const KernelProfile &Query : Q.Profiles)
     EXPECT_EQ(Restored->queryApprox(Query, 5, true, 0, 1),

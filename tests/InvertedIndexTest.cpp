@@ -7,26 +7,30 @@
 // The correctness harness of the two-tier (cluster router + inverted
 // posting lists) retrieval path, pinned against the exact O(N) scan as
 // ground truth. The central contract: run *exhaustively* — every
-// centroid probed, no df-pruning, no re-rank budget (the
-// RoutingOptions defaults) — the approximate path must be
-// bit-identical to the exact scan: same ids, same similarity bit
-// patterns, same tie-break order. Under aggressive pruning the
-// results may differ, but only within a measured recall envelope, and
-// structural invariants (unrouted tail always found, tombstoned
-// entries never resurface, snapshots immune to later routing
-// rebuilds) must hold unconditionally.
+// centroid probed, no df-pruning (the RoutingOptions defaults) — the
+// approximate path must be bit-identical to the exact scan: same ids,
+// same similarity bit patterns, same tie-break order. Under aggressive
+// pruning the results may differ, but only within a measured recall
+// envelope; they always equal a from-scratch oracle (exact scores for
+// the collected candidates and the unrouted tail, +0.0 for every other
+// routed position); and structural invariants (unrouted tail always
+// found, tombstoned entries never resurface, snapshots immune to later
+// routing rebuilds) must hold unconditionally.
 //
 //===----------------------------------------------------------------------===//
 
 #include "index/IndexService.h"
 #include "index/ProfileIndex.h"
+#include "index/SegmentScorer.h"
 #include "kernels/SpectrumKernels.h"
 #include "util/Rng.h"
+#include "util/SimdDot.h"
 #include "workloads/CorpusIO.h"
 #include "workloads/Generators.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <set>
 
@@ -99,6 +103,20 @@ double recallAgainst(const std::vector<Neighbor> &Exact,
   return static_cast<double>(Found) / static_cast<double>(Truth.size());
 }
 
+/// Random queries plus a few self queries (exact ties with stored
+/// entries).
+std::vector<KernelProfile>
+oracleQueries(const std::shared_ptr<TokenTable> &T, Rng &R,
+              const std::vector<WeightedString> &Corpus) {
+  BlendedSpectrumKernel Kernel = testKernel();
+  std::vector<KernelProfile> Queries;
+  for (const WeightedString &Q : randomCorpus(T, R, 24, "q"))
+    Queries.push_back(Kernel.profile(Q));
+  for (size_t I = 0; I < Corpus.size(); I += 37)
+    Queries.push_back(Kernel.profile(Corpus[I]));
+  return Queries;
+}
+
 //===----------------------------------------------------------------------===//
 // Differential: exhaustive mode is the exact scan, bit for bit
 //===----------------------------------------------------------------------===//
@@ -116,7 +134,7 @@ TEST(InvertedIndexTest, ExhaustiveModeIsBitIdenticalToExactScan) {
     Index.add("dup" + std::to_string(I), "", Kernel.profile(Corpus[I]));
 
   // RoutingOptions defaults *are* exhaustive mode: every centroid
-  // probed, no df-pruning, no re-rank budget.
+  // probed, no df-pruning.
   RoutingOptions Exhaustive;
   Exhaustive.Cluster.NumCentroids = 7;
   Index.buildRouting(Exhaustive, /*Threads=*/1);
@@ -243,7 +261,6 @@ TEST(InvertedIndexTest, UnroutedTailIsAlwaysScannedExactly) {
   RoutingOptions Aggressive;
   Aggressive.Cluster.NumCentroids = 5;
   Aggressive.MaxDocFrequency = 0.2;
-  Aggressive.RerankBudget = 4;
   Aggressive.DefaultNProbe = 1;
   Index.clearRouting();
   Index.buildRouting(Aggressive, 1);
@@ -286,7 +303,6 @@ TEST(InvertedIndexTest, AggressivePruningKeepsRecall) {
   RoutingOptions Aggressive;
   Aggressive.Cluster.NumCentroids = 8;
   Aggressive.MaxDocFrequency = 0.25;
-  Aggressive.RerankBudget = 48;
   Aggressive.DefaultNProbe = 2;
   Index.buildRouting(Aggressive, 1);
 
@@ -309,92 +325,135 @@ TEST(InvertedIndexTest, AggressivePruningKeepsRecall) {
 //===----------------------------------------------------------------------===//
 
 TEST(InvertedIndexTest, SaveLoadRoundTripsRoutingThroughTheImage) {
-  for (bool Quantized : {false, true}) {
-    SCOPED_TRACE(Quantized ? "quantized shortlist" : "partial-score shortlist");
-    Rng R(7788);
-    auto Table = TokenTable::create();
-    std::vector<WeightedString> Corpus = randomCorpus(Table, R, 44, "c");
-    BlendedSpectrumKernel Kernel = testKernel();
-    ProfileIndex Index = ProfileIndex::build(
-        Kernel, {Corpus.begin(), Corpus.begin() + 36}, {}, 1);
-    RoutingOptions Opts;
-    Opts.Cluster.NumCentroids = 6;
-    Opts.MaxDocFrequency = 0.5;
-    Opts.RerankBudget = 16;
-    Opts.DefaultNProbe = 3;
-    Opts.QuantizedShortlist = Quantized;
-    Index.buildRouting(Opts, 1);
-    // Entries added after the fit form an unrouted tail the image
-    // carries beside the routed prefix.
-    for (size_t I = 36; I < Corpus.size(); ++I)
-      Index.add(Corpus[I].name(), "", Kernel.profile(Corpus[I]));
-    ASSERT_EQ(Index.routedCount(), 36u);
+  Rng R(7788);
+  auto Table = TokenTable::create();
+  std::vector<WeightedString> Corpus = randomCorpus(Table, R, 44, "c");
+  BlendedSpectrumKernel Kernel = testKernel();
+  ProfileIndex Index = ProfileIndex::build(
+      Kernel, {Corpus.begin(), Corpus.begin() + 36}, {}, 1);
+  RoutingOptions Opts;
+  Opts.Cluster.NumCentroids = 6;
+  Opts.MaxDocFrequency = 0.5;
+  Opts.DefaultNProbe = 3;
+  Index.buildRouting(Opts, 1);
+  // Entries added after the fit form an unrouted tail the image
+  // carries beside the routed prefix.
+  for (size_t I = 36; I < Corpus.size(); ++I)
+    Index.add(Corpus[I].name(), "", Kernel.profile(Corpus[I]));
+  ASSERT_EQ(Index.routedCount(), 36u);
 
-    const std::string Path =
-        testing::TempDir() + "/kast_routed_index_" +
-        (Quantized ? "q" : "p") + ".kfi";
-    ASSERT_TRUE(Index.save(Path).ok());
+  const std::string Path = testing::TempDir() + "/kast_routed_index.kfi";
+  ASSERT_TRUE(Index.save(Path).ok());
 
-    const uint64_t Fits = kmeansFitCount();
-    const uint64_t Rebuilds = postingRebuildCount();
-    Expected<ProfileIndex> Loaded = ProfileIndex::load(Path);
-    ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
-    // The routing tier is viewed in the image: no k-means fit, no
-    // posting rebuild.
-    EXPECT_EQ(kmeansFitCount(), Fits);
-    EXPECT_EQ(postingRebuildCount(), Rebuilds);
-    EXPECT_TRUE(Loaded->store().isMapped());
-    ASSERT_TRUE(Loaded->routed());
-    ASSERT_EQ(Loaded->size(), Index.size());
-    EXPECT_EQ(Loaded->routedCount(), Index.routedCount());
-    EXPECT_EQ(Loaded->router()->numCentroids(), Index.router()->numCentroids());
-    EXPECT_EQ(Loaded->router()->assignments(), Index.router()->assignments());
-    EXPECT_EQ(Loaded->routingOptions()->MaxDocFrequency, Opts.MaxDocFrequency);
-    EXPECT_EQ(Loaded->routingOptions()->RerankBudget, Opts.RerankBudget);
-    EXPECT_EQ(Loaded->routingOptions()->DefaultNProbe, Opts.DefaultNProbe);
-    EXPECT_EQ(Loaded->routingOptions()->QuantizedShortlist, Quantized);
-    EXPECT_EQ(Loaded->store().quantized() != nullptr, Quantized);
+  const uint64_t Fits = kmeansFitCount();
+  const uint64_t Rebuilds = postingRebuildCount();
+  Expected<ProfileIndex> Loaded = ProfileIndex::load(Path);
+  ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
+  // The routing tier is viewed in the image: no k-means fit, no
+  // posting rebuild.
+  EXPECT_EQ(kmeansFitCount(), Fits);
+  EXPECT_EQ(postingRebuildCount(), Rebuilds);
+  EXPECT_TRUE(Loaded->store().isMapped());
+  ASSERT_TRUE(Loaded->routed());
+  ASSERT_EQ(Loaded->size(), Index.size());
+  EXPECT_EQ(Loaded->routedCount(), Index.routedCount());
+  EXPECT_EQ(Loaded->router()->numCentroids(), Index.router()->numCentroids());
+  EXPECT_EQ(Loaded->router()->assignments(), Index.router()->assignments());
+  EXPECT_EQ(Loaded->routingOptions()->MaxDocFrequency, Opts.MaxDocFrequency);
+  EXPECT_EQ(Loaded->routingOptions()->DefaultNProbe, Opts.DefaultNProbe);
 
-    // Same pruned-path answers (bitwise), same exhaustive answers, for
-    // queries drawn from the routed prefix and the unrouted tail.
-    for (size_t I = 0; I < Index.size(); I += 5) {
-      KernelProfile Q = Index.profile(I);
-      expectBitIdentical(Loaded->queryApprox(Q, 5), Index.queryApprox(Q, 5),
-                         "pruned reload " + std::to_string(I));
-      expectBitIdentical(Loaded->queryApprox(Q, 5, true, /*NProbe=*/
-                                             Loaded->router()->numCentroids()),
-                         Index.queryApprox(Q, 5, true,
-                                           Index.router()->numCentroids()),
-                         "exhaustive reload " + std::to_string(I));
-    }
-    EXPECT_EQ(kmeansFitCount(), Fits);
-    EXPECT_EQ(postingRebuildCount(), Rebuilds);
-
-    // Growing the mapped index promotes its store; saving it back over
-    // the image it was loaded from keeps the routing and the answers.
-    ProfileIndex Grown = Loaded.take();
-    Grown.add("extra", "", Index.profile(3));
-    EXPECT_FALSE(Grown.store().isMapped());
-    ASSERT_TRUE(Grown.save(Path).ok());
-    Expected<ProfileIndex> Resaved = ProfileIndex::load(Path);
-    ASSERT_TRUE(Resaved.hasValue()) << Resaved.message();
-    ASSERT_EQ(Resaved->size(), Index.size() + 1);
-    EXPECT_EQ(Resaved->routedCount(), Index.routedCount());
-    for (size_t I = 0; I < Grown.size(); I += 7) {
-      KernelProfile Q = Grown.profile(I);
-      expectBitIdentical(Resaved->queryApprox(Q, 5), Grown.queryApprox(Q, 5),
-                         "resaved " + std::to_string(I));
-    }
-    EXPECT_EQ(kmeansFitCount(), Fits);
-    EXPECT_EQ(postingRebuildCount(), Rebuilds);
-
-    // Saving the index unrouted writes an image without routing.
-    Index.clearRouting();
-    ASSERT_TRUE(Index.save(Path).ok());
-    Expected<ProfileIndex> Unrouted = ProfileIndex::load(Path);
-    ASSERT_TRUE(Unrouted.hasValue()) << Unrouted.message();
-    EXPECT_FALSE(Unrouted->routed());
+  // Same pruned-path answers (bitwise), same exhaustive answers, for
+  // queries drawn from the routed prefix and the unrouted tail.
+  for (size_t I = 0; I < Index.size(); I += 5) {
+    KernelProfile Q = Index.profile(I);
+    expectBitIdentical(Loaded->queryApprox(Q, 5), Index.queryApprox(Q, 5),
+                       "pruned reload " + std::to_string(I));
+    expectBitIdentical(Loaded->queryApprox(Q, 5, true, /*NProbe=*/
+                                           Loaded->router()->numCentroids()),
+                       Index.queryApprox(Q, 5, true,
+                                         Index.router()->numCentroids()),
+                       "exhaustive reload " + std::to_string(I));
   }
+  EXPECT_EQ(kmeansFitCount(), Fits);
+  EXPECT_EQ(postingRebuildCount(), Rebuilds);
+
+  // Growing the mapped index promotes its store; saving it back over
+  // the image it was loaded from keeps the routing and the answers.
+  ProfileIndex Grown = Loaded.take();
+  Grown.add("extra", "", Index.profile(3));
+  EXPECT_FALSE(Grown.store().isMapped());
+  ASSERT_TRUE(Grown.save(Path).ok());
+  Expected<ProfileIndex> Resaved = ProfileIndex::load(Path);
+  ASSERT_TRUE(Resaved.hasValue()) << Resaved.message();
+  ASSERT_EQ(Resaved->size(), Index.size() + 1);
+  EXPECT_EQ(Resaved->routedCount(), Index.routedCount());
+  for (size_t I = 0; I < Grown.size(); I += 7) {
+    KernelProfile Q = Grown.profile(I);
+    expectBitIdentical(Resaved->queryApprox(Q, 5), Grown.queryApprox(Q, 5),
+                       "resaved " + std::to_string(I));
+  }
+  EXPECT_EQ(kmeansFitCount(), Fits);
+  EXPECT_EQ(postingRebuildCount(), Rebuilds);
+
+  // Saving the index unrouted writes an image without routing.
+  Index.clearRouting();
+  ASSERT_TRUE(Index.save(Path).ok());
+  Expected<ProfileIndex> Unrouted = ProfileIndex::load(Path);
+  ASSERT_TRUE(Unrouted.hasValue()) << Unrouted.message();
+  EXPECT_FALSE(Unrouted->routed());
+}
+
+TEST(InvertedIndexTest, ExportedRoutingAliasesTheLiveArraysAndRestoresExactly) {
+  Rng R(6464);
+  auto Table = TokenTable::create();
+  std::vector<WeightedString> Corpus = randomCorpus(Table, R, 90, "c");
+  BlendedSpectrumKernel Kernel = testKernel();
+  ProfileIndex Index = ProfileIndex::build(Kernel, Corpus, {}, 1);
+  RoutingOptions Opts;
+  Opts.Cluster.NumCentroids = 6;
+  Opts.MaxDocFrequency = 0.4;
+  Opts.DefaultNProbe = 2;
+
+  // The export views the live routing's arrays, centroids included,
+  // instead of copying them, and keeps the routing alive on its own.
+  std::shared_ptr<const detail::IndexRouting> Live =
+      detail::IndexRouting::fit(Index.store(), Opts, 1);
+  std::shared_ptr<const RoutingArenas> Arenas =
+      detail::IndexRouting::toArenas(Live);
+  const ProfileStore &C = Live->Router.centroids();
+  EXPECT_TRUE(Arenas->Centroids.isMapped());
+  EXPECT_EQ(Arenas->Centroids.size(), C.size());
+  EXPECT_EQ(Arenas->Centroids.offsets().data(), C.offsets().data());
+  EXPECT_EQ(Arenas->Centroids.hashes().data(), C.hashes().data());
+  EXPECT_EQ(Arenas->Centroids.values().data(), C.values().data());
+  EXPECT_EQ(Arenas->Centroids.selfDots().data(), C.selfDots().data());
+  EXPECT_EQ(Arenas->Centroids.norms().data(), C.norms().data());
+  EXPECT_EQ(Arenas->PostingIds.data(), Live->Inverted.postingIds().data());
+  const std::weak_ptr<const detail::IndexRouting> Weak = Live;
+  Live.reset();
+  EXPECT_FALSE(Weak.expired());
+  Arenas.reset();
+  EXPECT_TRUE(Weak.expired());
+
+  // Saved and restored, the routing answers bit for bit as the live
+  // one, for every probe width and through the zero stream (K past
+  // the corpus size).
+  Index.buildRouting(Opts, 1);
+  const std::string Path = testing::TempDir() + "/kast_exported_routing.kfi";
+  ASSERT_TRUE(Index.save(Path).ok());
+  Expected<ProfileIndex> Restored = ProfileIndex::load(Path);
+  ASSERT_TRUE(Restored.hasValue()) << Restored.message();
+  ASSERT_TRUE(Restored->routed());
+  const std::vector<KernelProfile> Queries = oracleQueries(Table, R, Corpus);
+  for (bool Normalize : {true, false})
+    for (size_t NProbe : {size_t(0), size_t(1), size_t(3), size_t(6)})
+      for (size_t K : {size_t(1), size_t(5), size_t(100)})
+        for (size_t Q = 0; Q < Queries.size(); ++Q)
+          expectBitIdentical(
+              Restored->queryApprox(Queries[Q], K, Normalize, NProbe),
+              Index.queryApprox(Queries[Q], K, Normalize, NProbe),
+              "query " + std::to_string(Q) + " nprobe " +
+                  std::to_string(NProbe) + " k " + std::to_string(K));
 }
 
 //===----------------------------------------------------------------------===//
@@ -552,63 +611,56 @@ TEST(InvertedIndexTest, ServiceRoutingPersistsAcrossRestart) {
 }
 
 //===----------------------------------------------------------------------===//
-// One scorer: tombstones, budgets, and index/service agreement
+// One scorer: tombstones and index/service agreement
 //===----------------------------------------------------------------------===//
 
 TEST(InvertedIndexTest, TombstonedCandidatesDoNotUseUpTheRerankBudget) {
-  // Entry I holds the shared feature 1 at weight I + 1 plus a private
-  // feature, so every entry is a candidate and the best-scoring ones
-  // are the newest. Removing the three best must not leave the
-  // budget-3 shortlist empty: the live runners-up take their place.
+  // Regression test from the re-rank budget era, when tombstoned
+  // candidates could fill the shortlist and crowd out live matches.
+  // The budget is gone; what stays pinned is that removed entries are
+  // never returned and the live matches are. Entry I holds the shared
+  // feature 1 at weight I + 1 plus a private feature, so every entry
+  // is a candidate and the best-scoring ones are the newest.
   KernelProfile Query;
   Query.add(1, 1.0);
   Query.finalize();
-  for (bool Quantized : {false, true}) {
-    const std::string What = Quantized ? "quantized" : "partial-score";
-    IndexServiceOptions SvcOpts;
-    SvcOpts.Shards = 1;
-    IndexService Service("test", SvcOpts);
-    for (size_t I = 0; I < 20; ++I) {
-      KernelProfile P;
-      P.add(1, static_cast<double>(I + 1));
-      P.add(1000 + I, 1.0);
-      P.finalize();
-      Service.add("e" + std::to_string(I), "", P);
-    }
-    RoutingOptions Opts;
-    Opts.RerankBudget = 3;
-    Opts.QuantizedShortlist = Quantized;
-    Opts.Cluster.NumCentroids = 2;
-    Service.rebuildRouting(Opts, 1);
-    ASSERT_TRUE(Service.routed()) << What;
-    for (const char *Name : {"e17", "e18", "e19"})
-      ASSERT_EQ(Service.remove(Name), 1u) << What;
+  IndexServiceOptions SvcOpts;
+  SvcOpts.Shards = 1;
+  IndexService Service("test", SvcOpts);
+  for (size_t I = 0; I < 20; ++I) {
+    KernelProfile P;
+    P.add(1, static_cast<double>(I + 1));
+    P.add(1000 + I, 1.0);
+    P.finalize();
+    Service.add("e" + std::to_string(I), "", P);
+  }
+  RoutingOptions Opts;
+  Opts.Cluster.NumCentroids = 2;
+  Service.rebuildRouting(Opts, 1);
+  ASSERT_TRUE(Service.routed());
+  const std::set<std::string> Removed = {"e17", "e18", "e19"};
+  for (const std::string &Name : Removed)
+    ASSERT_EQ(Service.remove(Name), 1u);
 
-    const IndexSnapshot Snap = Service.snapshot();
-    const std::vector<ServiceHit> Exact = Snap.query(Query, 5, false, 1);
-    ASSERT_EQ(Exact.size(), 5u) << What;
+  const IndexSnapshot Snap = Service.snapshot();
+  for (size_t K : {size_t(3), size_t(5), size_t(40)}) {
+    const std::string What = "k " + std::to_string(K);
+    const std::vector<ServiceHit> Exact = Snap.query(Query, K, false, 1);
+    ASSERT_EQ(Exact.size(), std::min<size_t>(K, 17)) << What;
     EXPECT_EQ(Exact[0].Name, "e16") << What;
-    EXPECT_EQ(Exact[4].Name, "e12") << What;
-
-    // The budget admits three candidates; they are the three best live
-    // entries, scored exactly.
     const std::vector<ServiceHit> Approx =
-        Snap.queryApprox(Query, 5, false, 0, 1);
-    ASSERT_EQ(Approx.size(), 3u) << What;
-    for (size_t I = 0; I < Approx.size(); ++I) {
-      EXPECT_EQ(Approx[I].Name, Exact[I].Name) << What << " rank " << I;
-      EXPECT_EQ(std::bit_cast<uint64_t>(Approx[I].Similarity),
-                std::bit_cast<uint64_t>(Exact[I].Similarity))
-          << What << " rank " << I;
-    }
-    expectHitsBitIdentical(Snap.queryBatchApprox({Query}, 5, false, 0, 1)[0],
+        Snap.queryApprox(Query, K, false, 0, 1);
+    expectHitsBitIdentical(Approx, Exact, What);
+    for (const ServiceHit &Hit : Approx)
+      EXPECT_EQ(Removed.count(Hit.Name), 0u) << What << " " << Hit.Name;
+    expectHitsBitIdentical(Snap.queryBatchApprox({Query}, K, false, 0, 1)[0],
                            Approx, What + " batch");
   }
 }
 
 TEST(InvertedIndexTest, ProfileIndexAndOneShardServiceAgreeUnderPrunedRouting) {
   // Non-exhaustive routing (probing fewer centroids than fitted,
-  // df-pruning, a re-rank budget) is allowed to miss true neighbors,
+  // df-pruning) is allowed to miss true neighbors,
   // but ProfileIndex and a one-shard service run the same scorer over
   // the same arena and fit, so they must miss identically — including
   // over the unrouted tail added after the fit.
@@ -623,68 +675,259 @@ TEST(InvertedIndexTest, ProfileIndexAndOneShardServiceAgreeUnderPrunedRouting) {
   Queries.push_back(Kernel.profile(Corpus[3]));
   Queries.push_back(Kernel.profile(Tail[2]));
 
+  RoutingOptions Opts;
+  Opts.Cluster.NumCentroids = 6;
+  Opts.MaxDocFrequency = 0.3;
+  ProfileIndex Index = ProfileIndex::build(Kernel, Corpus, {}, 1);
+  IndexServiceOptions SvcOpts;
+  SvcOpts.Shards = 1;
+  IndexService Service = IndexService::fromIndex(Index, SvcOpts);
+  Index.buildRouting(Opts, 1);
+  Service.rebuildRouting(Opts, 1);
+  for (const WeightedString &S : Tail) {
+    const KernelProfile P = Kernel.profile(S);
+    Index.add(S.name(), "", P);
+    Service.add(S.name(), "", P);
+  }
+  ASSERT_EQ(Index.routedCount(), Corpus.size());
+  const IndexSnapshot Snap = Service.snapshot();
+  ASSERT_EQ(Snap.routedShardCount(), 1u);
+
+  const auto Names = [&](const std::vector<Neighbor> &Hits) {
+    std::vector<ServiceHit> Out;
+    for (const Neighbor &H : Hits)
+      Out.push_back({std::string(Index.name(H.Index)),
+                     std::string(Index.label(H.Index)), H.Similarity});
+    return Out;
+  };
   size_t DiffersFromExact = 0;
-  for (bool Quantized : {false, true}) {
-    const std::string What = Quantized ? "quantized" : "partial-score";
-    RoutingOptions Opts;
-    Opts.Cluster.NumCentroids = 6;
-    Opts.MaxDocFrequency = 0.3;
-    Opts.RerankBudget = 8;
-    Opts.QuantizedShortlist = Quantized;
-
-    ProfileIndex Index = ProfileIndex::build(Kernel, Corpus, {}, 1);
-    IndexServiceOptions SvcOpts;
-    SvcOpts.Shards = 1;
-    IndexService Service = IndexService::fromIndex(Index, SvcOpts);
-    Index.buildRouting(Opts, 1);
-    Service.rebuildRouting(Opts, 1);
-    for (const WeightedString &S : Tail) {
-      const KernelProfile P = Kernel.profile(S);
-      Index.add(S.name(), "", P);
-      Service.add(S.name(), "", P);
-    }
-    ASSERT_EQ(Index.routedCount(), Corpus.size()) << What;
-    const IndexSnapshot Snap = Service.snapshot();
-    ASSERT_EQ(Snap.routedShardCount(), 1u) << What;
-
-    const auto Names = [&](const std::vector<Neighbor> &Hits) {
-      std::vector<ServiceHit> Out;
-      for (const Neighbor &H : Hits)
-        Out.push_back({std::string(Index.name(H.Index)),
-                       std::string(Index.label(H.Index)), H.Similarity});
-      return Out;
-    };
-    for (bool Normalize : {true, false}) {
-      for (size_t NProbe : {size_t(1), size_t(2)}) {
-        for (size_t K : {size_t(1), size_t(5), size_t(40)}) {
-          for (size_t Q = 0; Q < Queries.size(); ++Q) {
-            const std::string Case =
-                What + " query " + std::to_string(Q) + " nprobe " +
-                std::to_string(NProbe) + " k " + std::to_string(K) +
-                (Normalize ? " cosine" : " raw");
-            const std::vector<Neighbor> Approx =
-                Index.queryApprox(Queries[Q], K, Normalize, NProbe);
-            expectHitsBitIdentical(
-                Snap.queryApprox(Queries[Q], K, Normalize, NProbe, 1),
-                Names(Approx), Case);
-            DiffersFromExact +=
-                Approx != Index.query(Queries[Q], K, Normalize);
-          }
-          const std::vector<std::vector<Neighbor>> IndexBatch =
-              Index.queryBatchApprox(Queries, K, Normalize, NProbe, 3);
-          const std::vector<std::vector<ServiceHit>> ServiceBatch =
-              Snap.queryBatchApprox(Queries, K, Normalize, NProbe, 3);
-          for (size_t Q = 0; Q < Queries.size(); ++Q)
-            expectHitsBitIdentical(ServiceBatch[Q], Names(IndexBatch[Q]),
-                                   What + " batch query " +
-                                       std::to_string(Q));
+  for (bool Normalize : {true, false}) {
+    for (size_t NProbe : {size_t(1), size_t(2)}) {
+      for (size_t K : {size_t(1), size_t(5), size_t(40)}) {
+        for (size_t Q = 0; Q < Queries.size(); ++Q) {
+          const std::string Case =
+              "query " + std::to_string(Q) + " nprobe " +
+              std::to_string(NProbe) + " k " + std::to_string(K) +
+              (Normalize ? " cosine" : " raw");
+          const std::vector<Neighbor> Approx =
+              Index.queryApprox(Queries[Q], K, Normalize, NProbe);
+          expectHitsBitIdentical(
+              Snap.queryApprox(Queries[Q], K, Normalize, NProbe, 1),
+              Names(Approx), Case);
+          DiffersFromExact +=
+              Approx != Index.query(Queries[Q], K, Normalize);
         }
+        const std::vector<std::vector<Neighbor>> IndexBatch =
+            Index.queryBatchApprox(Queries, K, Normalize, NProbe, 3);
+        const std::vector<std::vector<ServiceHit>> ServiceBatch =
+            Snap.queryBatchApprox(Queries, K, Normalize, NProbe, 3);
+        for (size_t Q = 0; Q < Queries.size(); ++Q)
+          expectHitsBitIdentical(ServiceBatch[Q], Names(IndexBatch[Q]),
+                                 "batch query " + std::to_string(Q));
       }
     }
   }
   // The settings really are non-exhaustive: some answers differ from
   // the exact scan, so the agreement above is not the exhaustive one.
   EXPECT_GT(DiffersFromExact, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Differential: the routed path against a from-scratch oracle
+//===----------------------------------------------------------------------===//
+
+/// One routed arena as the oracle sees it: the entries in position
+/// order, which of them are removed, and the routing over its prefix.
+struct OracleArena {
+  const ProfileStore *Store = nullptr;
+  std::vector<uint8_t> Dead; ///< Empty: every entry is live.
+  const ClusterRouter *Router = nullptr;
+  const InvertedIndex *Inverted = nullptr;
+};
+
+/// The routed answer recomputed from its definition: route the query,
+/// collect the posting candidates, then rank every live position by
+/// (similarity desc, position asc). A collected candidate or an
+/// unrouted-tail entry scores its exact similarity, taken from the
+/// reference scalar merge join; every other routed position scores
+/// +0.0 (the zero stream). Returns every live position, ranked.
+std::vector<Neighbor> routedOracle(const OracleArena &A,
+                                   const KernelProfile &Query, size_t NProbe,
+                                   bool Normalize) {
+  const FlatProfile Flat(Query);
+  std::vector<std::pair<double, uint32_t>> Scored;
+  std::vector<uint32_t> Probes;
+  A.Router->route(Flat, NProbe, Scored, Probes);
+  InvertedScratch Candidates;
+  Candidates.begin(A.Inverted->numProfiles());
+  A.Inverted->collectCandidates(Flat, Probes, Candidates);
+  std::vector<Neighbor> Ranked;
+  for (size_t P = 0; P < A.Store->size(); ++P) {
+    if (!A.Dead.empty() && A.Dead[P])
+      continue;
+    double Sim = 0.0;
+    if (P >= A.Inverted->numProfiles() || Candidates.marked(P)) {
+      const ProfileView V = A.Store->view(P);
+      Sim = simd::dotScalar(Flat.Hashes.data(), Flat.Values.data(),
+                            Flat.size(), V.Hashes, V.Values, V.Size);
+      if (Normalize) {
+        const double Denominator = Flat.Norm * V.Norm;
+        Sim = Denominator > 0.0 ? Sim / Denominator : 0.0;
+      }
+    }
+    Ranked.push_back({P, Sim});
+  }
+  std::sort(Ranked.begin(), Ranked.end(),
+            [](const Neighbor &L, const Neighbor &R) {
+              if (L.Similarity != R.Similarity)
+                return L.Similarity > R.Similarity;
+              return L.Index < R.Index;
+            });
+  return Ranked;
+}
+
+// Both oracle tests run in the default and the KAST_FORCE_SCALAR
+// passes of the suite, so the scorer is checked on both kernels.
+
+TEST(InvertedIndexTest, RoutedProfileIndexMatchesTheOracle) {
+  Rng R(6262);
+  auto Table = TokenTable::create();
+  BlendedSpectrumKernel Kernel = testKernel();
+  std::vector<WeightedString> Corpus = randomCorpus(Table, R, 150, "c");
+  ProfileIndex Index = ProfileIndex::build(Kernel, Corpus, {}, 1);
+  RoutingOptions Opts;
+  Opts.Cluster.NumCentroids = 8;
+  Opts.MaxDocFrequency = 0.3;
+  Index.buildRouting(Opts, 1);
+  for (const WeightedString &S : randomCorpus(Table, R, 12, "t"))
+    Index.add(S.name(), "", Kernel.profile(S));
+  ASSERT_EQ(Index.routedCount(), Corpus.size());
+  // The posting lists are a pure function of the store prefix, the
+  // assignments and the df cut, so rebuilding them gives the fit's.
+  const InvertedIndex Inverted = InvertedIndex::build(
+      Index.store(), Index.router()->assignments(),
+      Index.router()->numCentroids(), Opts.MaxDocFrequency);
+  const OracleArena Arena{&Index.store(), {}, Index.router(), &Inverted};
+
+  const std::vector<KernelProfile> Queries = oracleQueries(Table, R, Corpus);
+  size_t DiffersFromExact = 0;
+  for (bool Normalize : {true, false})
+    for (size_t NProbe : {size_t(1), size_t(2), size_t(3)})
+      for (size_t K : {size_t(1), size_t(5), size_t(40), Index.size() + 3}) {
+        const std::vector<std::vector<Neighbor>> Batch =
+            Index.queryBatchApprox(Queries, K, Normalize, NProbe, 2);
+        for (size_t Q = 0; Q < Queries.size(); ++Q) {
+          const std::string Case =
+              "query " + std::to_string(Q) + " nprobe " +
+              std::to_string(NProbe) + " k " + std::to_string(K) +
+              (Normalize ? " cosine" : " raw");
+          std::vector<Neighbor> Oracle =
+              routedOracle(Arena, Queries[Q], NProbe, Normalize);
+          Oracle.resize(std::min(K, Oracle.size()));
+          expectBitIdentical(
+              Index.queryApprox(Queries[Q], K, Normalize, NProbe), Oracle,
+              Case);
+          expectBitIdentical(Batch[Q], Oracle, Case + " batch");
+          DiffersFromExact += Oracle != Index.query(Queries[Q], K, Normalize);
+        }
+      }
+  // Pruning and probing really drop true neighbors here, so the
+  // oracle is not just the exact scan again.
+  EXPECT_GT(DiffersFromExact, 0u);
+}
+
+TEST(InvertedIndexTest, RoutedServiceMatchesTheOracleAcrossShards) {
+  Rng R(6363);
+  auto Table = TokenTable::create();
+  BlendedSpectrumKernel Kernel = testKernel();
+  std::vector<WeightedString> Corpus = randomCorpus(Table, R, 160, "c");
+  IndexServiceOptions SvcOpts;
+  SvcOpts.Shards = 3;
+  SvcOpts.SealThreshold = 8;
+  IndexService Service(Kernel.name(), SvcOpts);
+  for (const WeightedString &S : Corpus)
+    Service.add(S.name(), "", Kernel.profile(S));
+  RoutingOptions Opts;
+  Opts.Cluster.NumCentroids = 5;
+  Opts.MaxDocFrequency = 0.3;
+  Service.rebuildRouting(Opts, 1);
+  // Each shard's routing, exported before the tail arrives...
+  std::vector<ProfileStoreCache> Routed = Service.toShardCaches();
+  for (const WeightedString &S : randomCorpus(Table, R, 20, "t"))
+    Service.add(S.name(), "", Kernel.profile(S));
+  // ...and each shard's entries in position order: the routed prefix,
+  // then the tail (sealed past SealThreshold, so several segments).
+  std::vector<ProfileStoreCache> Full = Service.toShardCaches();
+  const std::set<std::string> Removed = {"c3", "c50", "c77", "c121", "t2",
+                                         "t9"};
+  for (const std::string &Name : Removed)
+    ASSERT_EQ(Service.remove(Name), 1u) << Name;
+
+  std::vector<std::shared_ptr<const detail::IndexRouting>> Routings;
+  std::vector<OracleArena> Arenas;
+  for (size_t S = 0; S < Routed.size(); ++S) {
+    ASSERT_NE(Routed[S].Routing, nullptr) << "shard " << S;
+    Routings.push_back(detail::IndexRouting::alias(Routed[S].Routing));
+    for (size_t P = 0; P < Routed[S].Names.size(); ++P)
+      ASSERT_EQ(Full[S].Names[P], Routed[S].Names[P]);
+    OracleArena A{&Full[S].Store, {}, &Routings[S]->Router,
+                  &Routings[S]->Inverted};
+    for (size_t P = 0; P < Full[S].Names.size(); ++P)
+      A.Dead.push_back(Removed.count(std::string(Full[S].Names[P])) != 0);
+    Arenas.push_back(std::move(A));
+  }
+  const IndexSnapshot Snap = Service.snapshot();
+  ASSERT_EQ(Snap.routedShardCount(), Arenas.size());
+
+  // The service's merge order: similarity desc, then shard, then
+  // position within the shard.
+  struct Ranked {
+    double Sim;
+    size_t Shard;
+    size_t Pos;
+  };
+  const auto Oracle = [&](const KernelProfile &Q, size_t K, size_t NProbe,
+                          bool Normalize) {
+    std::vector<Ranked> All;
+    for (size_t S = 0; S < Arenas.size(); ++S)
+      for (const Neighbor &N : routedOracle(Arenas[S], Q, NProbe, Normalize))
+        All.push_back({N.Similarity, S, N.Index});
+    std::stable_sort(All.begin(), All.end(),
+                     [](const Ranked &L, const Ranked &R) {
+                       if (L.Sim != R.Sim)
+                         return L.Sim > R.Sim;
+                       return L.Shard < R.Shard;
+                     });
+    std::vector<ServiceHit> Hits;
+    for (size_t I = 0; I < std::min(K, All.size()); ++I)
+      Hits.push_back({std::string(Full[All[I].Shard].Names[All[I].Pos]),
+                      std::string(Full[All[I].Shard].Labels[All[I].Pos]),
+                      All[I].Sim});
+    return Hits;
+  };
+
+  const std::vector<KernelProfile> Queries = oracleQueries(Table, R, Corpus);
+  std::vector<const KernelProfile *> Borrowed;
+  for (const KernelProfile &Q : Queries)
+    Borrowed.push_back(&Q);
+  for (bool Normalize : {true, false})
+    for (size_t NProbe : {size_t(1), size_t(2)})
+      for (size_t K : {size_t(1), size_t(5), size_t(40), size_t(200)}) {
+        const std::vector<std::vector<ServiceHit>> Batch =
+            Snap.queryBatchApprox(Borrowed, K, Normalize, NProbe, 2);
+        for (size_t Q = 0; Q < Queries.size(); ++Q) {
+          const std::string Case =
+              "query " + std::to_string(Q) + " nprobe " +
+              std::to_string(NProbe) + " k " + std::to_string(K) +
+              (Normalize ? " cosine" : " raw");
+          const std::vector<ServiceHit> Want =
+              Oracle(Queries[Q], K, NProbe, Normalize);
+          expectHitsBitIdentical(
+              Snap.queryApprox(Queries[Q], K, Normalize, NProbe, 2), Want,
+              Case);
+          expectHitsBitIdentical(Batch[Q], Want, Case + " batch");
+        }
+      }
 }
 
 //===----------------------------------------------------------------------===//

@@ -296,7 +296,6 @@ TEST(ProfileIndexTest, QueryBatchIsThreadCountInvariant) {
   RoutingOptions Opts;
   Opts.Cluster.NumCentroids = 4;
   Opts.MaxDocFrequency = 0.5;
-  Opts.RerankBudget = 8;
   Opts.DefaultNProbe = 2;
   Index.buildRouting(Opts, 1);
   std::vector<std::vector<Neighbor>> ApproxRef =

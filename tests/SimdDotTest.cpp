@@ -9,10 +9,9 @@
 // return the same *bits* as the reference scalar merge join for every
 // input — size edges around the vector width, duplicates shared across
 // sides, disjoint sets, skew ratios that cross the gallop threshold.
-// Plus the quantized tier's guarantees: bit-identical dispatch, the
-// Scale/2 * L1 error bound, QuantizedStore construction, and end-to-end
-// top-k equality of budget-pruned retrieval against the exact scan on
-// a clustered corpus.
+// Plus end-to-end: exhaustive routing on a clustered corpus returns
+// the exact scan's top-k bit-for-bit, and the retired shortlist
+// options change nothing.
 //
 //===----------------------------------------------------------------------===//
 
@@ -216,104 +215,6 @@ TEST(SimdDotTest, ExactScanReassignReusesCapacity) {
 }
 
 //===----------------------------------------------------------------------===//
-// Quantized tier
-//===----------------------------------------------------------------------===//
-
-TEST(SimdDotTest, QuantizedDispatchMatchesQuantizedScalar) {
-  Rng R(31);
-  for (size_t QSize : EdgeSizes)
-    for (size_t SSize : {0u, 1u, 4u, 5u, 63u, 256u, 4096u}) {
-      const uint64_t Universe = std::max<uint64_t>(QSize + SSize, 2);
-      Operand Q = makeOperand(R, QSize, Universe);
-      Operand SFull = makeOperand(R, SSize, Universe);
-      std::vector<int8_t> S8(SSize);
-      double MaxAbs = 0.0;
-      for (double V : SFull.Values)
-        MaxAbs = std::max(MaxAbs, std::abs(V));
-      const double Scale = MaxAbs > 0.0 ? MaxAbs / 127.0 : 0.0;
-      for (size_t I = 0; I < SSize; ++I)
-        S8[I] = static_cast<int8_t>(std::lround(
-            Scale > 0.0 ? SFull.Values[I] / Scale : 0.0));
-      const double Ref = simd::dotQuantizedScalar(
-          Q.Hashes.data(), Q.Values.data(), Q.size(), SFull.Hashes.data(),
-          S8.data(), SSize, Scale);
-      const double Got = simd::dotQuantized(Q.Hashes.data(), Q.Values.data(),
-                                            Q.size(), SFull.Hashes.data(),
-                                            S8.data(), SSize, Scale);
-      EXPECT_EQ(bits(Ref), bits(Got))
-          << "dotQuantized diverges at " << QSize << "x" << SSize;
-    }
-}
-
-TEST(SimdDotTest, QuantizedStorePerProfileScaleAndRoundTripError) {
-  Rng R(37);
-  BlendedSpectrumKernel Kernel(3);
-  auto Table = TokenTable::create();
-  ProfileStore Store;
-  for (int I = 0; I < 20; ++I) {
-    WeightedString S(Table);
-    for (int J = 0; J < 40; ++J)
-      S.append("t" + std::to_string(R.uniformInt(0, 9)),
-               R.uniformInt(1, 16));
-    Store.append(Kernel.profile(S));
-  }
-  // An all-zero profile quantizes to scale 0 / all-zero codes.
-  Store.append(KernelProfile());
-  Store.buildQuantized();
-  const QuantizedStore *Q = Store.quantized();
-  ASSERT_NE(Q, nullptr);
-  ASSERT_EQ(Q->size(), Store.size());
-  for (size_t I = 0; I < Store.size(); ++I) {
-    const ProfileView V = Store.view(I);
-    const QuantizedStore::View QV = Q->view(I);
-    ASSERT_EQ(QV.Size, V.Size);
-    double MaxAbs = 0.0;
-    for (size_t E = 0; E < V.Size; ++E)
-      MaxAbs = std::max(MaxAbs, std::abs(V.Values[E]));
-    EXPECT_DOUBLE_EQ(QV.Scale, MaxAbs > 0.0 ? MaxAbs / 127.0 : 0.0);
-    // Per-element dequantization error is at most half a step.
-    for (size_t E = 0; E < V.Size; ++E)
-      EXPECT_LE(std::abs(V.Values[E] - QV.Scale * QV.Values[E]),
-                QV.Scale / 2.0 + 1e-15);
-  }
-  // Appends invalidate the sidecar; rebuilding restores it.
-  Store.append(KernelProfile());
-  EXPECT_EQ(Store.quantized(), nullptr);
-  Store.buildQuantized();
-  EXPECT_EQ(Store.quantized()->size(), Store.size());
-}
-
-TEST(SimdDotTest, QuantizedDotRespectsL1ErrorBound) {
-  Rng R(41);
-  for (int Trial = 0; Trial < 20; ++Trial) {
-    const size_t QSize = 50 + Trial * 10, SSize = 80 + Trial * 5;
-    const uint64_t Universe = (QSize + SSize) / 2; // force heavy overlap
-    Operand Q = makeOperand(R, std::min<size_t>(QSize, Universe), Universe);
-    Operand S = makeOperand(R, std::min<size_t>(SSize, Universe), Universe);
-    std::vector<int8_t> S8(S.size());
-    double MaxAbs = 0.0;
-    for (double V : S.Values)
-      MaxAbs = std::max(MaxAbs, std::abs(V));
-    const double Scale = MaxAbs > 0.0 ? MaxAbs / 127.0 : 0.0;
-    for (size_t I = 0; I < S.size(); ++I)
-      S8[I] = static_cast<int8_t>(
-          std::lround(Scale > 0.0 ? S.Values[I] / Scale : 0.0));
-    const double Exact =
-        simd::dotScalar(Q.Hashes.data(), Q.Values.data(), Q.size(),
-                        S.Hashes.data(), S.Values.data(), S.size());
-    const double Approx = simd::dotQuantized(Q.Hashes.data(), Q.Values.data(),
-                                             Q.size(), S.Hashes.data(),
-                                             S8.data(), S.size(), Scale);
-    double L1 = 0.0;
-    for (double V : Q.Values)
-      L1 += std::abs(V);
-    // |exact - quantized| <= Scale/2 * sum over matches |q_i|
-    //                     <= Scale/2 * L1(q).
-    EXPECT_LE(std::abs(Exact - Approx), Scale / 2.0 * L1 + 1e-12);
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // Dispatch and the KAST_FORCE_SCALAR knob
 //===----------------------------------------------------------------------===//
 
@@ -340,16 +241,15 @@ TEST(SimdDotTest, ForceScalarEnvPinsDetection) {
 }
 
 //===----------------------------------------------------------------------===//
-// End-to-end: quantized shortlist against the exact scan
+// End-to-end: exhaustive routing against the exact scan
 //===----------------------------------------------------------------------===//
 
 namespace {
 
 /// Clustered corpus: BaseCount base strings, each entry a point
 /// mutation of its base, so cosine neighborhoods are the sibling
-/// groups — margins between in-group and out-group similarities are
-/// wide, which is exactly where a budgeted shortlist must not change
-/// the final top-k.
+/// groups, with wide margins between in-group and out-group
+/// similarities.
 std::vector<WeightedString>
 clusteredCorpus(const std::shared_ptr<TokenTable> &Table, size_t N,
                 size_t BaseCount, Rng &R) {
@@ -374,6 +274,18 @@ clusteredCorpus(const std::shared_ptr<TokenTable> &Table, size_t N,
   return Out;
 }
 
+/// Asserts \p Approx equals \p Exact entry by entry, similarity bits
+/// included.
+void expectSameHits(const std::vector<Neighbor> &Exact,
+                    const std::vector<Neighbor> &Approx) {
+  ASSERT_EQ(Exact.size(), Approx.size());
+  for (size_t I = 0; I < Exact.size(); ++I) {
+    EXPECT_EQ(Exact[I].Index, Approx[I].Index) << "rank " << I;
+    EXPECT_EQ(bits(Exact[I].Similarity), bits(Approx[I].Similarity))
+        << "rank " << I;
+  }
+}
+
 } // namespace
 
 TEST(SimdDotTest, QuantizedShortlistTopKMatchesExactScan) {
@@ -385,52 +297,37 @@ TEST(SimdDotTest, QuantizedShortlistTopKMatchesExactScan) {
 
   ProfileIndex Index = ProfileIndex::build(
       Kernel, {Corpus.begin(), Corpus.begin() + N});
+  // The retired int8 shortlist fields, set the way that tier used
+  // them: a budget far below the candidate count (nearly every profile
+  // shares a 3-gram with the query) and the shortlist on. Both are now
+  // ignored, so with every centroid probed and no df-pruning the
+  // routed answer is the exact scan's, bit for bit.
   RoutingOptions Opts;
   Opts.Cluster.NumCentroids = 8;
-  // Nearly every profile shares some 3-gram with the query (alphabet
-  // 10, no df-pruning), so a budget of 64 prunes hard — but it still
-  // clears the ~38-profile sibling group the true top-k lives in by a
-  // margin far wider than the quantization error.
   Opts.RerankBudget = 64;
   Opts.QuantizedShortlist = true;
   Index.buildRouting(Opts);
-  ASSERT_NE(Index.store().quantized(), nullptr);
 
   for (size_t QI = 0; QI < 10; ++QI) {
     const KernelProfile Query = Kernel.profile(Corpus[N + QI]);
-    const std::vector<Neighbor> Exact = Index.query(Query, 5);
-    // All centroids probed: candidate recall is total, so the only
-    // approximation left is the budgeted shortlist itself.
-    const std::vector<Neighbor> Approx =
-        Index.queryApprox(Query, 5, /*Normalize=*/true, /*NProbe=*/0);
-    ASSERT_EQ(Exact.size(), Approx.size());
-    for (size_t I = 0; I < Exact.size(); ++I) {
-      EXPECT_EQ(Exact[I].Index, Approx[I].Index) << "rank " << I;
-      // Survivors are re-ranked with the exact kernel, so matching ids
-      // mean bit-identical similarities.
-      EXPECT_EQ(bits(Exact[I].Similarity), bits(Approx[I].Similarity));
-    }
+    expectSameHits(Index.query(Query, 5),
+                   Index.queryApprox(Query, 5, /*Normalize=*/true,
+                                     /*NProbe=*/0));
   }
 }
 
-TEST(SimdDotTest, ExhaustiveModeStaysBitIdenticalWithQuantizedTierBuilt) {
+TEST(SimdDotTest, ExhaustiveRoutingStaysBitIdentical) {
   Rng R(47);
   auto Table = TokenTable::create();
   BlendedSpectrumKernel Kernel(3);
   std::vector<WeightedString> Corpus = clusteredCorpus(Table, 120, 6, R);
   ProfileIndex Index = ProfileIndex::build(
       Kernel, {Corpus.begin(), Corpus.begin() + 100});
-  // Pure-defaults routing: no budget, no df-pruning — the documented
-  // bit-identity mode. The quantized tier must not engage.
+  // Pure-defaults routing: every centroid, no df-pruning — the
+  // documented bit-identity mode.
   Index.buildRouting({});
   for (size_t QI = 100; QI < 110; ++QI) {
     const KernelProfile Query = Kernel.profile(Corpus[QI]);
-    const std::vector<Neighbor> Exact = Index.query(Query, 7);
-    const std::vector<Neighbor> Approx = Index.queryApprox(Query, 7);
-    ASSERT_EQ(Exact.size(), Approx.size());
-    for (size_t I = 0; I < Exact.size(); ++I) {
-      EXPECT_EQ(Exact[I].Index, Approx[I].Index);
-      EXPECT_EQ(bits(Exact[I].Similarity), bits(Approx[I].Similarity));
-    }
+    expectSameHits(Index.query(Query, 7), Index.queryApprox(Query, 7));
   }
 }
