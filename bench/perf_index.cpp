@@ -6,16 +6,14 @@
 //
 // The corpus-growth story in numbers: extending an existing Gram matrix
 // with KernelMatrix::appendRows versus recomputing it from scratch,
-// top-k profile-index queries (single and batched over the ProfileStore
-// arena) versus the full-matrix detour they replace, and flat-image
-// loads and restarts. Args are {N, M}: N already-indexed strings, M
-// arriving ones.
+// top-k IndexService queries (single and batched, exact and routed)
+// versus the full-matrix detour they replace, and flat-image restarts.
+// Args are {N, M}: N already-indexed strings, M arriving ones.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/KernelMatrix.h"
 #include "index/IndexService.h"
-#include "index/ProfileIndex.h"
 #include "kernels/SpectrumKernels.h"
 #include "util/Rng.h"
 #include "workloads/CorpusIO.h"
@@ -109,16 +107,22 @@ BENCHMARK(BM_GramRecomputeAfterArrival)
     ->Args({1024, 32})
     ->Unit(benchmark::kMillisecond);
 
+/// An N-string one-shard service over \p Corpus's prefix: one arena,
+/// the shape every single-index leg below measures.
+IndexService oneShard(const std::vector<WeightedString> &Corpus, size_t N) {
+  return IndexService::build(kernel(), {Corpus.begin(), Corpus.begin() + N},
+                             {}, {.Shards = 1});
+}
+
 /// One top-k query against an N-string index: O(N · dot), the
 /// retrieval hot path.
 void BM_IndexQueryTop5(benchmark::State &State) {
   const size_t N = static_cast<size_t>(State.range(0));
   const std::vector<WeightedString> &Corpus = randomCorpus(N + 1);
-  ProfileIndex Index = ProfileIndex::build(
-      kernel(), {Corpus.begin(), Corpus.begin() + N});
+  const IndexSnapshot Index = oneShard(Corpus, N).snapshot();
   KernelProfile Query = kernel().profile(Corpus[N]);
   for (auto _ : State)
-    benchmark::DoNotOptimize(Index.query(Query, 5));
+    benchmark::DoNotOptimize(Index.query(Query, 5, true, 1));
 }
 BENCHMARK(BM_IndexQueryTop5)->Arg(128)->Arg(1024)->Arg(8192);
 
@@ -130,8 +134,7 @@ void BM_IndexQueryBatchTop5(benchmark::State &State) {
   const size_t N = static_cast<size_t>(State.range(0));
   const size_t B = static_cast<size_t>(State.range(1));
   const std::vector<WeightedString> &Corpus = randomCorpus(N + B);
-  ProfileIndex Index = ProfileIndex::build(
-      kernel(), {Corpus.begin(), Corpus.begin() + N});
+  const IndexSnapshot Index = oneShard(Corpus, N).snapshot();
   std::vector<KernelProfile> Queries;
   for (size_t I = 0; I < B; ++I)
     Queries.push_back(kernel().profile(Corpus[N + I]));
@@ -175,7 +178,8 @@ const std::vector<WeightedString> &clusteredCorpus(size_t N) {
           Token = "t" + std::to_string(R.uniformInt(0, Alphabet - 1));
           Weight = R.uniformInt(1, 16);
         }
-      WeightedString S(Table);
+      // Named, so routed and exact hits can be compared by name.
+      WeightedString S(Table, "c" + std::to_string(I));
       for (const auto &[Token, Weight] : Seq)
         S.append(Token, Weight);
       It->second.push_back(std::move(S));
@@ -214,33 +218,42 @@ RoutingOptions sweepRouting(int DfPct) {
   return Options;
 }
 
+/// A routed one-shard service and its fitted centroid count.
+struct RoutedIndex {
+  IndexService Service;
+  size_t Centroids = 0;
+};
+
 /// One routed index per (N, DfPct); the k-means fit dominates setup,
 /// so fitted indexes are cached across benchmark registrations.
-const ProfileIndex &routedIndex(size_t N, int DfPct) {
-  static std::map<std::pair<size_t, int>, ProfileIndex> Cache;
-  auto [It, Inserted] = Cache.try_emplace(std::make_pair(N, DfPct));
-  if (Inserted) {
-    const std::vector<WeightedString> &Corpus =
-        clusteredCorpus(N + RoutedQueryCount);
-    It->second = ProfileIndex::build(kernel(),
-                                     {Corpus.begin(), Corpus.begin() + N});
-    It->second.buildRouting(sweepRouting(DfPct));
+const RoutedIndex &routedIndex(size_t N, int DfPct) {
+  static std::map<std::pair<size_t, int>, RoutedIndex> Cache;
+  const std::pair<size_t, int> Key(N, DfPct);
+  auto It = Cache.find(Key);
+  if (It == Cache.end()) {
+    IndexService Service = oneShard(clusteredCorpus(N + RoutedQueryCount), N);
+    Service.rebuildRouting(sweepRouting(DfPct));
+    // The centroid count travels with the exported routing arenas.
+    const size_t Centroids =
+        Service.toShardCaches()[0].Routing->Centroids.size();
+    It = Cache.emplace(Key, RoutedIndex{std::move(Service), Centroids}).first;
   }
   return It->second;
 }
 
 /// Mean recall@5 of the routed path against the exact scan on the
 /// same index, over the held-out query set.
-double meanRecall5(const ProfileIndex &Routed,
+double meanRecall5(const IndexService &Routed,
                    const std::vector<KernelProfile> &Queries, size_t NProbe) {
   double Sum = 0.0;
   for (const KernelProfile &Q : Queries) {
-    const std::vector<Neighbor> Exact = Routed.query(Q, 5);
-    const std::vector<Neighbor> Approx = Routed.queryApprox(Q, 5, true, NProbe);
+    const std::vector<ServiceHit> Exact = Routed.query(Q, 5, true, 1);
+    const std::vector<ServiceHit> Approx =
+        Routed.queryApprox(Q, 5, true, NProbe, 1);
     size_t Hits = 0;
-    for (const Neighbor &A : Approx)
-      for (const Neighbor &E : Exact)
-        Hits += A.Index == E.Index;
+    for (const ServiceHit &A : Approx)
+      for (const ServiceHit &E : Exact)
+        Hits += A.Name == E.Name;
     Sum += Exact.empty() ? 1.0
                          : static_cast<double>(Hits) /
                                static_cast<double>(Exact.size());
@@ -255,10 +268,11 @@ double meanRecall5(const ProfileIndex &Routed,
 /// to identical data anyway.
 void BM_ClusteredExactQueryTop5(benchmark::State &State) {
   const size_t N = static_cast<size_t>(State.range(0));
-  const ProfileIndex &Routed = routedIndex(N, /*DfPct=*/100);
+  const IndexSnapshot Routed =
+      routedIndex(N, /*DfPct=*/100).Service.snapshot();
   const KernelProfile Query = heldOutQueries(N).front();
   for (auto _ : State)
-    benchmark::DoNotOptimize(Routed.query(Query, 5));
+    benchmark::DoNotOptimize(Routed.query(Query, 5, true, 1));
 }
 BENCHMARK(BM_ClusteredExactQueryTop5)->Arg(128)->Arg(1024)->Arg(8192);
 
@@ -270,19 +284,20 @@ BENCHMARK(BM_ClusteredExactQueryTop5)->Arg(128)->Arg(1024)->Arg(8192);
 /// guarantees exactly 1.0 — the CI canary greps for that counter.
 void BM_InvertedQueryTop5(benchmark::State &State) {
   const size_t N = static_cast<size_t>(State.range(0));
-  const ProfileIndex &Routed = routedIndex(N, /*DfPct=*/100);
-  const ProfileIndex &Exhaustive = routedIndex(N, /*DfPct=*/-1);
+  const RoutedIndex &Routed = routedIndex(N, /*DfPct=*/100);
+  const RoutedIndex &Exhaustive = routedIndex(N, /*DfPct=*/-1);
   const std::vector<KernelProfile> Queries = heldOutQueries(N);
-  const double Recall = meanRecall5(Routed, Queries, /*NProbe=*/0);
-  const double ExhaustiveRecall = meanRecall5(
-      Exhaustive, Queries, Exhaustive.router()->numCentroids());
+  const double Recall = meanRecall5(Routed.Service, Queries, /*NProbe=*/0);
+  const double ExhaustiveRecall =
+      meanRecall5(Exhaustive.Service, Queries, Exhaustive.Centroids);
+  const IndexSnapshot Snap = Routed.Service.snapshot();
   const KernelProfile &Query = Queries.front();
   for (auto _ : State)
-    benchmark::DoNotOptimize(Routed.queryApprox(Query, 5));
+    benchmark::DoNotOptimize(Snap.queryApprox(Query, 5, true, 0, 1));
   State.counters["recall5"] = benchmark::Counter(Recall);
   State.counters["recall5_exhaustive"] = benchmark::Counter(ExhaustiveRecall);
   State.counters["centroids"] =
-      benchmark::Counter(static_cast<double>(Routed.router()->numCentroids()));
+      benchmark::Counter(static_cast<double>(Routed.Centroids));
 }
 BENCHMARK(BM_InvertedQueryTop5)->Arg(128)->Arg(1024)->Arg(8192);
 
@@ -294,15 +309,16 @@ BENCHMARK(BM_InvertedQueryTop5)->Arg(128)->Arg(1024)->Arg(8192);
 void BM_InvertedRecallSweep(benchmark::State &State) {
   const size_t N = 8192;
   const int DfPct = static_cast<int>(State.range(1));
-  const ProfileIndex &Routed = routedIndex(N, DfPct);
+  const RoutedIndex &Routed = routedIndex(N, DfPct);
   const size_t NProbe = State.range(0) != 0
                             ? static_cast<size_t>(State.range(0))
-                            : Routed.router()->numCentroids();
+                            : Routed.Centroids;
   const std::vector<KernelProfile> Queries = heldOutQueries(N);
-  const double Recall = meanRecall5(Routed, Queries, NProbe);
+  const double Recall = meanRecall5(Routed.Service, Queries, NProbe);
+  const IndexSnapshot Snap = Routed.Service.snapshot();
   const KernelProfile &Query = Queries.front();
   for (auto _ : State)
-    benchmark::DoNotOptimize(Routed.queryApprox(Query, 5, true, NProbe));
+    benchmark::DoNotOptimize(Snap.queryApprox(Query, 5, true, NProbe, 1));
   State.counters["recall5"] = benchmark::Counter(Recall);
   State.counters["nprobe"] =
       benchmark::Counter(static_cast<double>(NProbe));
@@ -334,7 +350,8 @@ void BM_IndexBuild(benchmark::State &State) {
   const std::vector<WeightedString> &Corpus =
       randomCorpus(static_cast<size_t>(State.range(0)));
   for (auto _ : State)
-    benchmark::DoNotOptimize(ProfileIndex::build(kernel(), Corpus));
+    benchmark::DoNotOptimize(
+        IndexService::build(kernel(), Corpus, {}, {.Shards = 1}));
 }
 BENCHMARK(BM_IndexBuild)->Arg(128)->Arg(1024)->Unit(benchmark::kMillisecond);
 
@@ -343,15 +360,13 @@ BENCHMARK(BM_IndexBuild)->Arg(128)->Arg(1024)->Unit(benchmark::kMillisecond);
 /// writer thread appends continuously (removing every 8th of its own
 /// adds) for the whole measurement, while the timed loop runs top-5
 /// queries through fresh snapshots. Compare against BM_IndexQueryTop5
-/// at the same N: the gap is the cost of snapshot isolation plus
-/// whatever cache pressure the writer induces. A bare ProfileIndex
-/// cannot run this benchmark at all — add() invalidates the views a
-/// concurrent query is scanning.
+/// at the same N: the gap is the cost of publishing and of whatever
+/// cache pressure the writer induces.
 void BM_ServiceQueryWhileAppend(benchmark::State &State) {
   const size_t N = static_cast<size_t>(State.range(0));
   const std::vector<WeightedString> &Corpus = randomCorpus(N + 1);
-  IndexService Service = IndexService::fromIndex(
-      ProfileIndex::build(kernel(), {Corpus.begin(), Corpus.begin() + N}));
+  IndexService Service = IndexService::build(
+      kernel(), {Corpus.begin(), Corpus.begin() + N});
   KernelProfile Query = kernel().profile(Corpus[N]);
 
   // The ingest stream reuses pre-built profiles round-robin under
@@ -394,40 +409,13 @@ BENCHMARK(BM_ServiceQueryWhileAppend)->Arg(1024)->Arg(8192);
 void BM_ServiceQueryQuiesced(benchmark::State &State) {
   const size_t N = static_cast<size_t>(State.range(0));
   const std::vector<WeightedString> &Corpus = randomCorpus(N + 1);
-  IndexService Service = IndexService::fromIndex(
-      ProfileIndex::build(kernel(), {Corpus.begin(), Corpus.begin() + N}));
+  IndexService Service = IndexService::build(
+      kernel(), {Corpus.begin(), Corpus.begin() + N});
   KernelProfile Query = kernel().profile(Corpus[N]);
   for (auto _ : State)
     benchmark::DoNotOptimize(Service.query(Query, 5, true, 1));
 }
 BENCHMARK(BM_ServiceQueryQuiesced)->Arg(1024)->Arg(8192);
-
-/// Per-process scratch path: concurrent bench runs (nightly job plus
-/// a developer run) must not truncate each other's image mid-load.
-std::string scratchImagePath() {
-  return "/tmp/kast_perf_index_load." +
-         std::to_string(static_cast<long>(::getpid())) + ".kfi";
-}
-
-/// ProfileIndex::load of an N-profile flat image: map, validate the
-/// header and O(N) metadata, then materialize the name and label
-/// columns the index keeps as owned strings.
-void BM_IndexLoad(benchmark::State &State) {
-  const size_t N = static_cast<size_t>(State.range(0));
-  const std::vector<WeightedString> &Corpus = randomCorpus(N);
-  ProfileIndex Index = ProfileIndex::build(kernel(), Corpus);
-  std::string Path = scratchImagePath();
-  if (Status S = Index.save(Path); !S) {
-    std::remove(Path.c_str());
-    State.SkipWithError(S.message().c_str());
-    return;
-  }
-  for (auto _ : State)
-    benchmark::DoNotOptimize(ProfileIndex::load(Path));
-  std::remove(Path.c_str());
-}
-BENCHMARK(BM_IndexLoad)->Arg(1024)->Arg(8192)
-    ->Unit(benchmark::kMillisecond);
 
 /// Per-process restart scratch directories, written once per N and
 /// removed at process exit. The write happens outside the
@@ -454,8 +442,8 @@ void BM_RestartToFirstQuery(benchmark::State &State) {
                           std::to_string(N);
   static RestartDirs Dirs;
   if (!Dirs.Ready.count(Dir)) {
-    IndexService Service = IndexService::fromIndex(
-        ProfileIndex::build(kernel(), {Corpus.begin(), Corpus.begin() + N}));
+    IndexService Service = IndexService::build(
+        kernel(), {Corpus.begin(), Corpus.begin() + N});
     Status S = writeShardedProfileImages(Service.toShardCaches(), Dir);
     if (!S) {
       State.SkipWithError(S.message().c_str());
@@ -516,8 +504,7 @@ void BM_RoutedRestartToFirstQuery(benchmark::State &State) {
                           std::to_string(N);
   static RestartDirs Dirs;
   if (!Dirs.Ready.count(Dir)) {
-    IndexService Service = IndexService::fromIndex(
-        ProfileIndex::build(kernel(), {Corpus.begin(), Corpus.begin() + N}));
+    IndexService Service = oneShard(Corpus, N);
     Service.rebuildRouting(sweepRouting(/*DfPct=*/100));
     Status S = writeShardedProfileImages(Service.toShardCaches(), Dir);
     if (!S) {
@@ -622,9 +609,8 @@ void BM_MappedImageSharedRss(benchmark::State &State) {
       "/tmp/kast_perf_index_shared." +
       std::to_string(static_cast<long>(::getpid())) + ".kfi";
   {
-    ProfileIndex Index = ProfileIndex::build(kernel(), Corpus);
-    IndexService Service = IndexService::fromIndex(Index, {.Shards = 1});
-    std::vector<ProfileStoreCache> Caches = Service.toShardCaches();
+    std::vector<ProfileStoreCache> Caches =
+        oneShard(Corpus, Corpus.size()).toShardCaches();
     if (Status S = writeProfileStoreImageFile(Caches[0], Path); !S) {
       State.SkipWithError(S.message().c_str());
       return;

@@ -1,4 +1,4 @@
-//===- examples/query_similar.cpp - retrieval over a profile index ---------===//
+//===- examples/query_similar.cpp - retrieval over cached profiles ---------===//
 //
 // Part of KAST, under the MIT License.
 //
@@ -10,12 +10,13 @@
 // Gram matrix, no re-profiling of the corpus.
 //
 // One mutated copy of every base example is held out as the query set;
-// the rest is indexed. With --cache the index round-trips through a
-// flat image (core/FlatImage), so a second run maps the profiles back
-// and skips profiling entirely.
+// the rest is served by a one-shard IndexService. With --cache the
+// service round-trips through a directory of shard flat images
+// (workloads/CorpusIO, core/FlatImage), so a second run maps the
+// profiles back and skips profiling entirely.
 //
 //   $ ./query_similar
-//   $ ./query_similar --cache /tmp/kast.kfi --k 5
+//   $ ./query_similar --cache /tmp/kast_cache --k 5
 //   $ ./query_similar --no-bytes --cut 8
 //   $ ./query_similar --approx --nprobe 2
 //
@@ -26,14 +27,13 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "index/ProfileIndex.h"
+#include "index/IndexService.h"
 #include "kernels/SpectrumKernels.h"
 #include "util/StringUtil.h"
 #include "util/TextTable.h"
 #include "workloads/CorpusIO.h"
 #include "workloads/DatasetBuilder.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -47,7 +47,7 @@ int main(int ArgC, char **ArgV) {
   bool IgnoreBytes = false;
   bool Approx = false;
   size_t NProbe = 0;
-  std::string CachePath;
+  std::string CacheDir;
   for (int I = 1; I < ArgC; ++I) {
     std::string Arg = ArgV[I];
     if (Arg == "--no-bytes") {
@@ -65,10 +65,10 @@ int main(int ArgC, char **ArgV) {
       if (std::optional<uint64_t> N = parseUnsigned(ArgV[++I]))
         TopK = static_cast<size_t>(*N);
     } else if (Arg == "--cache" && I + 1 < ArgC) {
-      CachePath = ArgV[++I];
+      CacheDir = ArgV[++I];
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--cache FILE] [--k N] [--no-bytes] [--cut N] "
+                   "usage: %s [--cache DIR] [--k N] [--no-bytes] [--cut N] "
                    "[--approx] [--nprobe N]\n",
                    ArgV[0]);
       return 2;
@@ -103,47 +103,39 @@ int main(int ArgC, char **ArgV) {
   const std::string CacheTag =
       Kernel.name() + (IgnoreBytes ? "|no-bytes" : "|bytes");
 
-  ProfileIndex Index(CacheTag);
+  // One shard: the whole corpus is one arena, routed as one unit.
+  IndexService Service(CacheTag, {.Shards = 1});
   bool FromCache = false;
-  if (!CachePath.empty() && std::filesystem::exists(CachePath)) {
-    Expected<ProfileIndex> Loaded = ProfileIndex::load(CachePath);
+  if (!CacheDir.empty() && std::filesystem::exists(CacheDir)) {
+    Expected<std::vector<ProfileStoreCache>> Caches =
+        loadShardedProfileImages(CacheDir, CacheTag);
+    Expected<IndexService> Loaded =
+        Caches ? IndexService::fromShardCaches(Caches.take())
+               : Expected<IndexService>::error(Caches.message());
     if (!Loaded) {
       std::fprintf(stderr, "error: %s\n", Loaded.message().c_str());
       return 1;
     }
-    if (Loaded->kernelName() != CacheTag) {
-      std::fprintf(stderr,
-                   "error: cache '%s' was built as '%s', this run needs "
-                   "'%s'\n",
-                   CachePath.c_str(), Loaded->kernelName().c_str(),
-                   CacheTag.c_str());
-      return 1;
-    }
-    Index = Loaded.take();
+    Service = Loaded.take();
     FromCache = true;
   } else {
     for (size_t I = 0; I < IndexedStrings.size(); ++I)
-      Index.add(IndexedStrings[I].name(), IndexedLabels[I],
-                Kernel.profile(IndexedStrings[I]));
-    if (!CachePath.empty()) {
-      if (Status S = Index.save(CachePath); !S) {
+      Service.add(IndexedStrings[I].name(), IndexedLabels[I],
+                  Kernel.profile(IndexedStrings[I]));
+    if (!CacheDir.empty()) {
+      if (Status S = writeShardedProfileImages(Service.toShardCaches(),
+                                               CacheDir);
+          !S) {
         std::fprintf(stderr, "error: %s\n", S.message().c_str());
         return 1;
       }
     }
   }
-  std::printf("index: %zu profiles (%s), kernel %s\n", Index.size(),
-              FromCache ? ("cache hit on " + CachePath).c_str()
+  std::printf("index: %zu profiles in %zu shard(s) (%s), kernel %s\n",
+              Service.size(), Service.shardCount(),
+              FromCache ? ("cache hit on " + CacheDir).c_str()
                         : "built from corpus",
-              Index.kernelName().c_str());
-  // The profiles live in one structure-of-arrays arena (three flat
-  // arrays + CSR offsets), which is also exactly what the flat image
-  // stores as page-aligned sections.
-  const ProfileStore &Store = Index.store();
-  std::printf("arena: %zu features in %zu + %zu + %zu byte blobs\n",
-              Store.entryCount(), Store.hashes().size() * sizeof(uint64_t),
-              Store.values().size() * sizeof(double),
-              Store.offsets().size() * sizeof(uint64_t));
+              Service.kernelName().c_str());
 
   // The approximate path needs the routing tier; modest pruning so the
   // two paths can actually diverge on this small corpus.
@@ -151,23 +143,22 @@ int main(int ArgC, char **ArgV) {
     RoutingOptions Routing;
     Routing.MaxDocFrequency = 0.5;
     Routing.DefaultNProbe = NProbe;
-    Index.buildRouting(Routing);
-    const std::string ProbeDesc =
-        NProbe == 0
-            ? "all"
-            : std::to_string(std::min(NProbe, Index.router()->numCentroids()));
-    std::printf("routing: %zu centroids, probing %s per query\n",
-                Index.router()->numCentroids(), ProbeDesc.c_str());
+    Service.rebuildRouting(Routing);
+    std::printf("routing: %zu shard(s) routed, probing %s centroids per "
+                "query\n",
+                Service.snapshot().routedShardCount(),
+                NProbe == 0 ? "all" : std::to_string(NProbe).c_str());
   }
 
   std::vector<KernelProfile> Queries;
   Queries.reserve(QueryStrings.size());
   for (const WeightedString &Q : QueryStrings)
     Queries.push_back(Kernel.profile(Q));
-  std::vector<std::vector<Neighbor>> Exact =
-      Index.queryBatch(Queries, TopK);
-  std::vector<std::vector<Neighbor>> Hits =
-      Approx ? Index.queryBatchApprox(Queries, TopK, true, NProbe) : Exact;
+  // One snapshot answers both paths.
+  const IndexSnapshot Snap = Service.snapshot();
+  std::vector<std::vector<ServiceHit>> Exact = Snap.queryBatch(Queries, TopK);
+  std::vector<std::vector<ServiceHit>> Hits =
+      Approx ? Snap.queryBatchApprox(Queries, TopK, true, NProbe) : Exact;
 
   TextTable Table;
   std::vector<std::string> Header = {"query",  "label",     "nearest",
@@ -180,10 +171,10 @@ int main(int ArgC, char **ArgV) {
   for (size_t Q = 0; Q < Queries.size(); ++Q) {
     std::string Nearest, Sim;
     if (!Hits[Q].empty()) {
-      Nearest = Index.name(Hits[Q][0].Index);
+      Nearest = Hits[Q][0].Name;
       Sim = formatDouble(Hits[Q][0].Similarity, 3);
     }
-    std::string Predicted = Index.majorityLabel(Hits[Q]);
+    std::string Predicted = IndexSnapshot::majorityLabel(Hits[Q]);
     bool Ok = Predicted == QueryLabels[Q];
     Correct += Ok;
     std::vector<std::string> Row = {QueryStrings[Q].name(), QueryLabels[Q],
@@ -191,9 +182,9 @@ int main(int ArgC, char **ArgV) {
                                     Ok ? "yes" : "NO"};
     if (Approx) {
       size_t Overlap = 0;
-      for (const Neighbor &A : Hits[Q])
-        for (const Neighbor &E : Exact[Q])
-          Overlap += A.Index == E.Index;
+      for (const ServiceHit &A : Hits[Q])
+        for (const ServiceHit &E : Exact[Q])
+          Overlap += A.Name == E.Name;
       double Recall = Exact[Q].empty()
                           ? 1.0
                           : static_cast<double>(Overlap) /

@@ -447,17 +447,6 @@ Status kast::validateCsrOffsets(const uint64_t *Offsets, size_t Count,
   return Status();
 }
 
-Status kast::writeProfileStoreImageFile(const std::string &KernelName,
-                                        const StringColumn &Names,
-                                        const StringColumn &Labels,
-                                        const ProfileStore &Store,
-                                        const std::string &Path,
-                                        const RoutingArenas *Routing) {
-  return writeStaged(Path, [&](std::ostream &Out) {
-    return writeImageImpl(KernelName, Names, Labels, Store, Routing, Out);
-  });
-}
-
 Status kast::writeProfileStoreImageFile(const ProfileStoreCache &Cache,
                                         const std::string &Path) {
   return writeStaged(Path, [&](std::ostream &Out) {

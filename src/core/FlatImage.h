@@ -253,21 +253,10 @@ struct FlatImageReadOptions {
   bool ForceBuffered = false;
 };
 
-/// Writes \p Store (with its names/labels, and \p Routing when
-/// non-null: version 4) as a flat image at \p Path, staged through
-/// "<Path>.tmp". The parts are passed separately so a caller holding
-/// them (ProfileIndex::save) need not copy them into a
-/// ProfileStoreCache. The writer emits little-endian
-/// bytes; both writer and reader require a little-endian host.
-Status writeProfileStoreImageFile(const std::string &KernelName,
-                                  const StringColumn &Names,
-                                  const StringColumn &Labels,
-                                  const ProfileStore &Store,
-                                  const std::string &Path,
-                                  const RoutingArenas *Routing = nullptr);
-
-/// Struct form: embeds Cache.Routing as the version-4 arena sections
-/// when present.
+/// Writes \p Cache (embedding Cache.Routing as the version-4 arena
+/// sections when present) as a flat image at \p Path, staged through
+/// "<Path>.tmp". The writer emits little-endian bytes; both writer and
+/// reader require a little-endian host.
 Status writeProfileStoreImageFile(const ProfileStoreCache &Cache,
                                   const std::string &Path);
 

@@ -42,7 +42,7 @@ void FlatProfile::assign(const KernelProfile &P) {
   Values.resize(Entries.size());
   double SelfDot = 0.0;
   // Entry order, like KernelProfile::norm(), so Norm is bit-identical
-  // to the staged profile's — both retrieval layers divide by it.
+  // to the staged profile's — every retrieval score divides by it.
   for (size_t I = 0; I < Entries.size(); ++I) {
     Hashes[I] = Entries[I].Hash;
     Values[I] = Entries[I].Value;

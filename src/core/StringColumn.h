@@ -6,8 +6,8 @@
 ///
 /// \file
 /// A column of N strings (the per-profile names and labels of a
-/// ProfileStoreCache, a ProfileIndex or a service segment) in one
-/// representation: (N+1) u64 CSR offsets into a byte blob — the layout
+/// ProfileStoreCache or a service segment) in one representation:
+/// (N+1) u64 CSR offsets into a byte blob — the layout
 /// of a flat image's NAMES/LABELS section. Both arrays are
 /// core/ArenaArrays, so a column is owned (push_back) or maps the
 /// section of an image it was read from (fromMapped), and copies,

@@ -8,6 +8,8 @@
 #include "util/ThreadPool.h"
 
 #include <algorithm>
+#include <cassert>
+#include <unordered_map>
 
 using namespace kast;
 
@@ -16,6 +18,35 @@ using namespace kast;
 //===----------------------------------------------------------------------===//
 
 namespace {
+
+/// Single-pass majority vote over \p Count labels addressed
+/// most-similar-first by \p LabelAt (an index → std::string_view
+/// callable): the label with the highest total count wins, and a count
+/// tie goes to the label whose first occurrence is nearest. O(Count)
+/// expected.
+template <typename LabelAtFn>
+std::string majorityVote(size_t Count, LabelAtFn LabelAt) {
+  // Counts are kept in first-seen order, so "earliest slot among the
+  // maxima" is exactly "nearest first occurrence". The string_view
+  // keys borrow from the caller's label storage, which outlives the
+  // vote.
+  std::unordered_map<std::string_view, size_t> Slots;
+  std::vector<std::pair<std::string_view, size_t>> Counts;
+  for (size_t I = 0; I < Count; ++I) {
+    const std::string_view Label = LabelAt(I);
+    auto [It, Inserted] = Slots.try_emplace(Label, Counts.size());
+    if (Inserted)
+      Counts.push_back({Label, 0});
+    ++Counts[It->second].second;
+  }
+  if (Counts.empty())
+    return {};
+  size_t Best = 0;
+  for (size_t I = 1; I < Counts.size(); ++I)
+    if (Counts[I].second > Counts[Best].second)
+      Best = I;
+  return std::string(Counts[Best].first);
+}
 
 /// Visits (segment, offset) of every live entry across parallel
 /// segment/tombstone lists — the one definition of "live" shared by
@@ -198,7 +229,7 @@ size_t IndexSnapshot::routedShardCount() const {
 }
 
 std::string IndexSnapshot::majorityLabel(const std::vector<ServiceHit> &Hits) {
-  return detail::majorityVote(
+  return majorityVote(
       Hits.size(), [&](size_t I) -> std::string_view { return Hits[I].Label; });
 }
 
@@ -256,15 +287,13 @@ void IndexService::publishLocked(ShardState &Shard, size_t SealThreshold) {
   Published->EntryCount = W.EntryCount;
   Published->LiveCount = W.LiveCount;
   // Routing rides copy-on-write: publishes share the fitted
-  // structures, and the scorer decides applicability.
+  // structures, which cover exactly Segments[0].
   std::vector<detail::ScoredSegment> Scored;
   Scored.reserve(Published->Segments.size());
   for (size_t S = 0; S < Published->Segments.size(); ++S)
     Scored.push_back({&Published->Segments[S]->Store,
                       Published->Tombstones[S].get(), 0});
-  Published->Scorer = detail::SegmentScorer(
-      std::move(Scored), W.Routing,
-      W.RoutedSegment ? &W.RoutedSegment->Store : nullptr);
+  Published->Scorer = detail::SegmentScorer(std::move(Scored), W.Routing);
   Shard.Published.store(
       std::shared_ptr<const detail::IndexShard>(std::move(Published)));
 }
@@ -374,7 +403,6 @@ void IndexService::compactShardLocked(ShardWriter &W) {
   // The fit covered the pre-compaction arena; drop it rather than
   // serve a router whose ids no longer mean anything.
   W.Routing.reset();
-  W.RoutedSegment.reset();
 }
 
 void IndexService::compact(size_t Threads) {
@@ -398,11 +426,9 @@ void IndexService::rebuildRouting(const RoutingOptions &RoutingOpts,
     std::lock_guard<std::mutex> Lock(Shard.WriterMutex);
     ShardWriter &W = Shard.Writer;
     compactShardLocked(W);
-    if (!W.Sealed.empty()) {
+    if (!W.Sealed.empty())
       W.Routing =
           detail::IndexRouting::fit(W.Sealed[0]->Store, RoutingOpts, Threads);
-      W.RoutedSegment = W.Sealed[0];
-    }
     publishLocked(Shard, Options.SealThreshold);
   }
 }
@@ -411,18 +437,28 @@ void IndexService::rebuildRouting(const RoutingOptions &RoutingOpts,
 // Service: bulk import/export
 //===----------------------------------------------------------------------===//
 
-IndexService IndexService::fromIndex(const ProfileIndex &Index,
-                                     IndexServiceOptions Opts) {
-  IndexService Service(Index.kernelName(), Opts);
+IndexService IndexService::build(const ProfiledStringKernel &Kernel,
+                                 const std::vector<WeightedString> &Strings,
+                                 const std::vector<std::string> &Labels,
+                                 IndexServiceOptions Opts, size_t Threads) {
+  assert((Labels.empty() || Labels.size() == Strings.size()) &&
+         "label count mismatch");
+  std::vector<KernelProfile> Profiles(Strings.size());
+  parallelFor(
+      Strings.size(),
+      [&](size_t I) { Profiles[I] = Kernel.profile(Strings[I]); }, Threads);
+
+  IndexService Service(Kernel.name(), Opts);
   // A fresh service has no concurrent readers or writers yet, so the
   // entries are staged shard by shard and published once per shard;
   // staging exceeding the seal threshold is moved (not copied) into a
   // sealed segment by publishLocked.
-  for (size_t I = 0; I < Index.size(); ++I) {
-    ShardWriter &W = Service.Shards[Service.shardOf(Index.name(I))]->Writer;
-    W.Staging.Store.appendFrom(Index.store(), I);
-    W.Staging.Names.push_back(Index.name(I));
-    W.Staging.Labels.push_back(Index.label(I));
+  for (size_t I = 0; I < Strings.size(); ++I) {
+    const std::string &Name = Strings[I].name();
+    ShardWriter &W = Service.Shards[Service.shardOf(Name)]->Writer;
+    W.Staging.Store.append(Profiles[I]);
+    W.Staging.Names.push_back(Name);
+    W.Staging.Labels.push_back(Labels.empty() ? "" : Labels[I]);
     W.StagingTombs.push_back(0);
     ++W.LiveCount;
     ++W.EntryCount;
@@ -481,7 +517,6 @@ IndexService::fromShardCaches(std::vector<ProfileStoreCache> Caches,
                              "'s embedded routing does not match its "
                              "profile count");
       W.Routing = detail::IndexRouting::alias(std::move(A));
-      W.RoutedSegment = Seg;
     }
     std::lock_guard<std::mutex> Lock(Service.Shards[S]->WriterMutex);
     publishLocked(*Service.Shards[S], Service.Options.SealThreshold);

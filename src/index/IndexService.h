@@ -5,11 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The concurrent serving layer over profile retrieval. A ProfileIndex
-/// is a build-mostly object: add() may reallocate the arena and
-/// invalidates every outstanding ProfileView, so queries and growth
-/// cannot overlap. An IndexService makes that overlap safe with
-/// copy-on-write snapshots over sharded, immutable state:
+/// Retrieval over cached kernel profiles — the paper's "access
+/// patterns as fingerprints" claim served directly — and the only
+/// top-k API. Growing a ProfileStore arena may reallocate it and
+/// invalidate every outstanding ProfileView, so queries and growth
+/// cannot overlap on one arena. An IndexService (one shard or many)
+/// makes that overlap safe with copy-on-write snapshots over sharded,
+/// immutable state:
 ///
 ///   - Entries are routed to one of S shards by the hash of their
 ///     name. Each shard is published as an immutable IndexShard: a
@@ -34,13 +36,13 @@
 ///     shard into one fresh arena without tombstones (old snapshots
 ///     keep the pre-compaction segments alive).
 ///
-/// Every shard is scored by index/SegmentScorer — the same scorer a
-/// ProfileIndex runs over its one segment — fed the shard's segments
-/// and tombstone bitmaps. A single query fans out across shards
-/// through parallelFor; a batch strides queries across workers. The
-/// per-shard top-k lists are k-way merged; ordering is deterministic
-/// for a given snapshot (similarity desc, then shard, then insertion
-/// position).
+/// Every shard is scored by index/SegmentScorer, fed the shard's
+/// segments and tombstone bitmaps; routing, when a shard has it,
+/// covers exactly its first segment. A single query fans out across
+/// shards through parallelFor; a batch strides queries across workers.
+/// The per-shard top-k lists are k-way merged; ordering is
+/// deterministic for a given snapshot (similarity desc, then shard,
+/// then insertion position).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,7 +52,8 @@
 #include "core/FlatImage.h"
 #include "core/ProfileStore.h"
 #include "core/StringColumn.h"
-#include "index/ProfileIndex.h"
+#include "core/StringKernel.h"
+#include "index/SegmentScorer.h"
 #include "util/Error.h"
 
 #include <atomic>
@@ -91,7 +94,7 @@ struct IndexShard {
   /// The shard's scorer over Segments/Tombstones, built at publish;
   /// every query of this shard runs through it. It shares the writer's
   /// routing (copy-on-write, so a snapshot keeps the routing it was
-  /// taken with) while that routing still applies to Segments[0].
+  /// taken with), which always covers exactly Segments[0].
   SegmentScorer Scorer;
 };
 
@@ -192,12 +195,12 @@ public:
                                       size_t NProbe = 0,
                                       size_t Threads = 0) const;
 
-  /// Shards whose published routing still covers their first segment.
+  /// Shards that carry routing (over their first segment).
   size_t routedShardCount() const;
 
-  /// Majority label among \p Hits; ties break toward the nearer hit's
-  /// label (same contract as ProfileIndex::majorityLabel). Empty for
-  /// an empty hit list.
+  /// Majority label among \p Hits: the label with the highest total
+  /// count; count ties break toward the label whose first occurrence is
+  /// the nearer hit. Empty for an empty hit list.
   static std::string majorityLabel(const std::vector<ServiceHit> &Hits);
 
 private:
@@ -218,10 +221,15 @@ public:
   explicit IndexService(std::string KernelName,
                         IndexServiceOptions Options = {});
 
-  /// Distributes an existing index's entries into shards (one bulk
-  /// publish per shard; the index is copied arena-to-arena).
-  static IndexService fromIndex(const ProfileIndex &Index,
-                                IndexServiceOptions Options = {});
+  /// Profiles every string with \p Kernel (in parallel on \p Threads,
+  /// 0 = hardware concurrency) and distributes the entries into shards
+  /// by the strings' names, publishing each shard once. \p Labels may
+  /// be empty (unlabeled corpus) or must match \p Strings in length.
+  static IndexService build(const ProfiledStringKernel &Kernel,
+                            const std::vector<WeightedString> &Strings,
+                            const std::vector<std::string> &Labels = {},
+                            IndexServiceOptions Options = {},
+                            size_t Threads = 0);
 
   /// Restarts a service from sharded flat images (workloads/CorpusIO's
   /// loadShardedProfileImages): each cache becomes one shard, adopted
@@ -257,7 +265,7 @@ public:
   /// Tombstones every live entry named \p Name and publishes.
   /// \returns the number of entries removed (0 if the name is
   /// absent). When every entry is on its name-hash route — always
-  /// true for services built through add()/fromIndex, and verified at
+  /// true for services built through add()/build, and verified at
   /// restore for fromShardCaches — only the home shard is scanned;
   /// a foreign cache layout downgrades remove() to a sweep of every
   /// shard so off-route entries are still found.
@@ -332,10 +340,10 @@ private:
     std::vector<uint8_t> StagingTombs;
     size_t LiveCount = 0;
     size_t EntryCount = 0;
-    /// Routing fitted over RoutedSegment (must be Sealed[0] to apply);
-    /// handed to every publish's scorer.
+    /// Routing over exactly Sealed[0] (fitted by rebuildRouting or
+    /// restored by fromShardCaches), null when unrouted; handed to
+    /// every publish's scorer and dropped by every compaction.
     std::shared_ptr<const detail::IndexRouting> Routing;
-    std::shared_ptr<const detail::IndexSegment> RoutedSegment;
   };
 
   /// One shard: atomically published snapshot + mutex-guarded writer

@@ -119,18 +119,15 @@ size_t rankTopK(std::vector<Neighbor> &Hits, size_t K) {
 } // namespace
 
 SegmentScorer::SegmentScorer(std::vector<ScoredSegment> Segs,
-                             std::shared_ptr<const IndexRouting> R,
-                             const ProfileStore *RoutedStore)
-    : Segments(std::move(Segs)) {
+                             std::shared_ptr<const IndexRouting> R)
+    : Segments(std::move(Segs)), Routing(std::move(R)) {
   for (ScoredSegment &S : Segments) {
     S.Begin = Total;
     Total += S.Store->size();
   }
-  if (R && !Segments.empty() && Segments[0].Store == RoutedStore) {
-    assert(R->covered() <= Segments[0].Store->size() &&
-           "routing covers more profiles than segment 0 holds");
-    Routing = std::move(R);
-  }
+  assert((!Routing || (!Segments.empty() &&
+                       Routing->covered() == Segments[0].Store->size())) &&
+         "routing must cover exactly segment 0");
 }
 
 std::pair<size_t, size_t> SegmentScorer::locate(size_t Pos) const {
@@ -154,16 +151,17 @@ void SegmentScorer::score(const FlatProfile &Query,
   std::vector<Neighbor> &Hits = Scratch.Hits;
   Hits.clear();
   Hits.reserve(Total);
-  scanFrom(0, Query, Request.Normalize, Scratch);
+  scan(0, Query, Request.Normalize, Scratch);
   TopK.assign(Hits.begin(), Hits.begin() + rankTopK(Hits, Request.K));
 }
 
-void SegmentScorer::scanFrom(size_t From, const FlatProfile &Query,
-                             bool Normalize, ScorerScratch &Scratch) const {
+void SegmentScorer::scan(size_t First, const FlatProfile &Query,
+                         bool Normalize, ScorerScratch &Scratch) const {
   const double QueryNorm = Normalize ? Query.Norm : 1.0;
-  for (const ScoredSegment &Seg : Segments) {
+  for (size_t S = First; S < Segments.size(); ++S) {
+    const ScoredSegment &Seg = Segments[S];
     const size_t Size = Seg.Store->size();
-    for (size_t I = From > Seg.Begin ? From - Seg.Begin : 0; I < Size; ++I) {
+    for (size_t I = 0; I < Size; ++I) {
       if (Seg.Tombs && (*Seg.Tombs)[I])
         continue;
       Scratch.Hits.push_back(
@@ -201,7 +199,7 @@ void SegmentScorer::routed(const FlatProfile &Query,
   for (uint32_t Id : IS.Candidates)
     Hits.push_back({Id, similarity(Scratch.Scan, Store0.view(Id),
                                    Request.Normalize, QueryNorm)});
-  scanFrom(Covered, Query, Request.Normalize, Scratch);
+  scan(1, Query, Request.Normalize, Scratch);
   const size_t Take = rankTopK(Hits, K);
 
   // Fast path: K hits all strictly above zero, so no zero-stream entry
@@ -212,7 +210,7 @@ void SegmentScorer::routed(const FlatProfile &Query,
   }
 
   // Merge the ranked hits with the zero stream: live, unmarked
-  // positions of [0, Covered), ascending, similarity exactly +0.0.
+  // positions of segment 0, ascending, similarity exactly +0.0.
   size_t Zero = 0;
   size_t Next = 0;
   const auto AdvanceZero = [&] {

@@ -6,28 +6,27 @@
 ///
 /// \file
 /// Top-k retrieval over a list of profile arenas: the one scorer
-/// behind ProfileIndex (one segment) and every IndexService shard
-/// (sealed segments, a staging tail, tombstone bitmaps), driven
-/// through scoreQuery / scoreBatch. Entries are numbered by their
-/// flattened position across the segments (Pos); hits rank by
-/// (similarity desc, Pos asc).
+/// behind every IndexService shard (sealed segments, a staging tail,
+/// tombstone bitmaps), driven through scoreQuery / scoreBatch. Entries
+/// are numbered by their flattened position across the segments
+/// (Pos); hits rank by (similarity desc, Pos asc).
 ///
 ///   - Exact: every live entry gets the exact dot (util/SimdDot's
 ///     probe-table scan, bit-identical to the scalar merge join).
-///   - Routed: detail::IndexRouting covers positions [0, Covered) of
-///     segment 0. Route → collect posting candidates → drop tombstoned
-///     ones → exact dot for every candidate. Everything past Covered
-///     is scanned exactly.
+///   - Routed: detail::IndexRouting covers all of segment 0. Route →
+///     collect posting candidates → drop tombstoned ones → exact dot
+///     for every candidate. Segments 1..n (later seals, the staging
+///     tail) are unrouted and scanned exactly.
 ///
 /// The bit-identity argument (stated once, here). A candidate's score
 /// is the same exact dot the exact path computes, so its similarity is
-/// bit-identical. A non-candidate in [0, Covered) shares no surviving
+/// bit-identical. A non-candidate of segment 0 shares no surviving
 /// feature with the query inside the probed clusters; run
 /// exhaustively (all centroids, MaxDocFrequency 1.0) it shares no
 /// feature at all, so its exact similarity is +0.0 (an
 /// empty dot, or 0 / norm). The routed path therefore merges its
 /// ranked hits with a "zero stream" — unmarked live positions of
-/// [0, Covered) in ascending order, each at +0.0 — taking the scored
+/// segment 0 in ascending order, each at +0.0 — taking the scored
 /// hit whenever it is > 0, or == 0 with a smaller Pos. Under the
 /// (sim desc, Pos asc) total order the (K+1)-th ranked hit is strictly
 /// dominated by K others, so merging only the top-K scored hits with
@@ -53,9 +52,8 @@
 
 namespace kast {
 
-/// One retrieval hit: the entry's position and its similarity to the
-/// query. ProfileIndex returns it with Index = entry id; inside a
-/// service shard Index is the flattened segment position.
+/// One retrieval hit inside a shard: the entry's flattened segment
+/// position and its similarity to the query.
 struct Neighbor {
   size_t Index = 0;
   double Similarity = 0.0;
@@ -65,9 +63,9 @@ struct Neighbor {
 
 namespace detail {
 
-/// The immutable routing tier over a prefix of one arena: router,
+/// The immutable routing tier over one whole arena: router,
 /// posting lists, and the options both were built with. Shared by
-/// pointer, so copied indexes and snapshots alias one fit. Built only
+/// pointer, so publishes and snapshots alias one fit. Built only
 /// through the two constructors below.
 struct IndexRouting {
   ClusterRouter Router;
@@ -114,7 +112,7 @@ struct ScoreRequest {
 };
 
 /// Per-worker scratch for one scorer, reused across a batch (the
-/// InvertedScratch is sized to that scorer's routed prefix).
+/// InvertedScratch is sized to that scorer's routed segment 0).
 struct ScorerScratch {
   simd::ExactScan Scan;
   InvertedScratch Inverted;
@@ -128,14 +126,13 @@ class SegmentScorer {
 public:
   SegmentScorer() = default;
 
-  /// \p Routing applies iff it was fitted on segment 0's arena, i.e.
-  /// \p RoutedStore == Segments[0]'s store; otherwise (never routed,
-  /// or the arena was replaced since) every query scans exactly.
+  /// \p Routing, when non-null, must have been fitted on (or restored
+  /// for) segment 0's arena and cover it exactly; null means every
+  /// query scans exactly.
   SegmentScorer(std::vector<ScoredSegment> Segments,
-                std::shared_ptr<const IndexRouting> Routing,
-                const ProfileStore *RoutedStore);
+                std::shared_ptr<const IndexRouting> Routing);
 
-  /// The routing tier queries use, or null when none applies.
+  /// The routing tier routed queries use, or null when unrouted.
   const std::shared_ptr<const IndexRouting> &routing() const {
     return Routing;
   }
@@ -153,10 +150,10 @@ public:
 private:
   void routed(const FlatProfile &Query, const ScoreRequest &Request,
               ScorerScratch &Scratch, std::vector<Neighbor> &TopK) const;
-  /// Appends every live entry at or past position \p From to
-  /// Scratch.Hits with its exact similarity.
-  void scanFrom(size_t From, const FlatProfile &Query, bool Normalize,
-                ScorerScratch &Scratch) const;
+  /// Appends every live entry of segments \p First.. to Scratch.Hits
+  /// with its exact similarity.
+  void scan(size_t First, const FlatProfile &Query, bool Normalize,
+            ScorerScratch &Scratch) const;
 
   std::vector<ScoredSegment> Segments;
   size_t Total = 0; ///< Positions across all segments, live or not.

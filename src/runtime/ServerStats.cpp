@@ -54,8 +54,10 @@ double LatencyHistogram::percentile(double Fraction) const {
   const uint64_t Total = Count.load(std::memory_order_relaxed);
   if (Total == 0)
     return 0.0;
-  // Rank of the requested sample, 1-based, clamped into range.
-  uint64_t Rank = static_cast<uint64_t>(Fraction * static_cast<double>(Total));
+  // Nearest rank of the requested sample, 1-based, clamped into range.
+  // Rounding up keeps Fraction of the samples at or below it.
+  uint64_t Rank = static_cast<uint64_t>(
+      std::ceil(Fraction * static_cast<double>(Total)));
   if (Rank < 1)
     Rank = 1;
   if (Rank > Total)

@@ -51,8 +51,9 @@ public:
   /// Records one sample. Wait-free: one relaxed fetch_add per counter.
   void record(uint64_t Value);
 
-  /// Value at or below which \p Fraction of recorded samples fall,
-  /// reported as the containing bucket's upper boundary (relative
+  /// Value at or below which \p Fraction of recorded samples fall: the
+  /// nearest-rank sample, ceil(Fraction × count) clamped to
+  /// [1, count], reported as its bucket's upper boundary (relative
   /// error bounded by the sub-bucket width). 0 for an empty histogram.
   double percentile(double Fraction) const;
 

@@ -8,8 +8,8 @@
 /// The one hot loop of the whole system — the merge-join inner product
 /// over two hash-sorted sparse vectors — restructured for vector
 /// hardware. Every layer bottoms out here: Gram tiles
-/// (core/KernelMatrix), exact retrieval scans (index/ProfileIndex,
-/// index/IndexService) and centroid routing (index/ClusterRouter) all
+/// (core/KernelMatrix), exact retrieval scans (index/SegmentScorer)
+/// and centroid routing (index/ClusterRouter) all
 /// call through this dispatch layer.
 ///
 /// Three implementations of the same contract:

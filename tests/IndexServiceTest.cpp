@@ -4,24 +4,30 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The serving contract of index/IndexService: adds and removes publish
-// atomically and agree with ProfileIndex ground truth, snapshots are
+// The retrieval and serving contract of index/IndexService, the one
+// top-k API: queries agree with a brute-force scalar reference and
+// with the Gram-matrix ground truth produced by computeKernelMatrix
+// over the same kernel, batches agree with single queries at any
+// thread count, adds and removes publish atomically, snapshots are
 // immutable (they answer identically forever, through concurrent
-// writes and compactions), sharded flat images restart a service bit-exactly,
-// and the whole thing holds up under ASan/UBSan with writers and
-// readers interleaving freely.
+// writes and compactions), sharded flat images restart a service
+// bit-exactly, and the whole thing holds up under ASan/UBSan with
+// writers and readers interleaving freely.
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/KernelMatrix.h"
 #include "index/IndexService.h"
-#include "index/ProfileIndex.h"
 #include "kernels/SpectrumKernels.h"
 #include "util/Rng.h"
+#include "util/SimdDot.h"
 #include "workloads/CorpusIO.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -37,6 +43,19 @@ WeightedString randomString(const std::shared_ptr<TokenTable> &Table,
     S.append("t" + std::to_string(R.uniformInt(0, Alphabet - 1)),
              R.uniformInt(1, 16));
   return S;
+}
+
+/// N random strings named "<prefix><i>".
+std::vector<WeightedString>
+randomCorpus(const std::shared_ptr<TokenTable> &Table, Rng &R, size_t N,
+             const std::string &Prefix) {
+  std::vector<WeightedString> Corpus;
+  for (size_t I = 0; I < N; ++I) {
+    WeightedString S = randomString(Table, R, R.uniformInt(1, 32), 6);
+    S.setName(Prefix + std::to_string(I));
+    Corpus.push_back(std::move(S));
+  }
+  return Corpus;
 }
 
 /// N profiles with unique names "<prefix><i>" and labels cycling
@@ -67,6 +86,20 @@ BlendedSpectrumKernel &kernel() {
   return K;
 }
 
+/// \p Corpus profiled by \p Kernel, under the strings' own names and
+/// \p Labels (empty: every label is "").
+NamedProfiles profilesOf(const ProfiledStringKernel &Kernel,
+                         const std::vector<WeightedString> &Corpus,
+                         const std::vector<std::string> &Labels = {}) {
+  NamedProfiles Out;
+  for (size_t I = 0; I < Corpus.size(); ++I) {
+    Out.Names.push_back(Corpus[I].name());
+    Out.Labels.push_back(Labels.empty() ? "" : Labels[I]);
+    Out.Profiles.push_back(Kernel.profile(Corpus[I]));
+  }
+  return Out;
+}
+
 /// (name, similarity) pairs of service hits, for ground-truth compares.
 std::vector<std::pair<std::string, double>>
 flatten(const std::vector<ServiceHit> &Hits) {
@@ -76,19 +109,75 @@ flatten(const std::vector<ServiceHit> &Hits) {
   return Out;
 }
 
+/// The top-K recomputed from its definition: every entry of \p P
+/// scores the reference scalar merge join against \p Query (divided
+/// by both norms under \p Normalize, 0 when either vanishes), ranked
+/// by similarity desc, then insertion order.
 std::vector<std::pair<std::string, double>>
-flatten(const ProfileIndex &Index, const std::vector<Neighbor> &Hits) {
-  std::vector<std::pair<std::string, double>> Out;
-  for (const Neighbor &H : Hits)
-    Out.push_back({std::string(Index.name(H.Index)), H.Similarity});
-  return Out;
+bruteForceTopK(const NamedProfiles &P, const KernelProfile &Query, size_t K,
+               bool Normalize = true) {
+  const FlatProfile Q(Query);
+  std::vector<std::pair<std::string, double>> Ranked;
+  for (size_t I = 0; I < P.Profiles.size(); ++I) {
+    const FlatProfile E(P.Profiles[I]);
+    double Sim = simd::dotScalar(Q.Hashes.data(), Q.Values.data(), Q.size(),
+                                 E.Hashes.data(), E.Values.data(), E.size());
+    if (Normalize) {
+      const double Denominator = Q.Norm * E.Norm;
+      Sim = Denominator > 0.0 ? Sim / Denominator : 0.0;
+    }
+    Ranked.push_back({P.Names[I], Sim});
+  }
+  std::stable_sort(Ranked.begin(), Ranked.end(),
+                   [](const auto &L, const auto &R) {
+                     return L.second > R.second;
+                   });
+  Ranked.resize(std::min(K, Ranked.size()));
+  return Ranked;
+}
+
+/// Bit-identical, not just ==: similarity must carry the same bit
+/// pattern (a double == would let -0.0 pass for +0.0).
+void expectBitIdentical(const std::vector<std::vector<ServiceHit>> &A,
+                        const std::vector<std::vector<ServiceHit>> &B,
+                        const std::string &What) {
+  ASSERT_EQ(A.size(), B.size()) << What;
+  for (size_t Q = 0; Q < A.size(); ++Q) {
+    ASSERT_EQ(A[Q].size(), B[Q].size()) << What << " query " << Q;
+    for (size_t I = 0; I < A[Q].size(); ++I) {
+      EXPECT_EQ(A[Q][I].Name, B[Q][I].Name)
+          << What << " query " << Q << " rank " << I;
+      EXPECT_EQ(std::bit_cast<uint64_t>(A[Q][I].Similarity),
+                std::bit_cast<uint64_t>(B[Q][I].Similarity))
+          << What << " query " << Q << " rank " << I;
+    }
+  }
+}
+
+/// Version byte of the flat image at \p Path (after the 8-byte magic).
+unsigned imageVersion(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  char Header[12] = {};
+  EXPECT_TRUE(In.read(Header, sizeof(Header)).good()) << Path;
+  EXPECT_EQ(std::string(Header, 8), "KASTFLAT") << Path;
+  return static_cast<unsigned char>(Header[8]);
+}
+
+/// Loads the shard images in \p Dir and restores a service from them.
+Expected<IndexService> restore(const std::string &Dir,
+                               const FlatImageReadOptions &Options = {}) {
+  Expected<std::vector<ProfileStoreCache>> Caches =
+      loadShardedProfileImages(Dir, "", Options);
+  if (!Caches)
+    return Expected<IndexService>::error(Caches.message());
+  return IndexService::fromShardCaches(Caches.take());
 }
 
 //===----------------------------------------------------------------------===//
-// Single-threaded correctness against ProfileIndex ground truth
+// Single-threaded correctness against brute-force and Gram ground truth
 //===----------------------------------------------------------------------===//
 
-TEST(IndexServiceTest, AddsPublishImmediatelyAndMatchProfileIndex) {
+TEST(IndexServiceTest, AddsPublishImmediatelyAndMatchBruteForce) {
   // Small shards and a tiny seal threshold so the test crosses every
   // structural boundary: staging tails, sealed segments, multi-shard
   // merges.
@@ -96,25 +185,23 @@ TEST(IndexServiceTest, AddsPublishImmediatelyAndMatchProfileIndex) {
   Options.Shards = 3;
   Options.SealThreshold = 4;
   IndexService Service(kernel().name(), Options);
-  ProfileIndex Truth(kernel().name());
 
   NamedProfiles P = makeProfiles(kernel(), 30, "s", 11);
   for (size_t I = 0; I < P.Profiles.size(); ++I) {
     Service.add(P.Names[I], P.Labels[I], P.Profiles[I]);
-    Truth.add(P.Names[I], P.Labels[I], P.Profiles[I]);
     EXPECT_EQ(Service.size(), I + 1); // Visible as soon as add returns.
   }
   EXPECT_EQ(Service.kernelName(), kernel().name());
   EXPECT_EQ(Service.shardCount(), 3u);
 
-  // Similarities are computed by the same merge-join over the same
-  // bit patterns, so service hits must match the index hit-for-hit
-  // (random profiles make cross-shard ties vanishingly unlikely).
+  // The scorer's dot is bit-identical to the scalar merge join, so
+  // service hits must match the reference hit-for-hit (random
+  // profiles make cross-shard ties vanishingly unlikely).
   NamedProfiles Q = makeProfiles(kernel(), 8, "q", 12);
   for (bool Normalize : {true, false})
     for (const KernelProfile &Query : Q.Profiles)
       EXPECT_EQ(flatten(Service.query(Query, 5, Normalize, 1)),
-                flatten(Truth, Truth.query(Query, 5, Normalize)));
+                bruteForceTopK(P, Query, 5, Normalize));
 
   // Batched equals single, through one snapshot.
   std::vector<std::vector<ServiceHit>> Batch =
@@ -125,43 +212,282 @@ TEST(IndexServiceTest, AddsPublishImmediatelyAndMatchProfileIndex) {
     EXPECT_EQ(Batch[I], Snap.query(Q.Profiles[I], 4, true, 1));
 }
 
+TEST(IndexServiceTest, TopKOrderingAndTieBreaks) {
+  IndexService Service("test", {.Shards = 1});
+  auto MakeProfile = [](std::vector<ProfileEntry> Entries) {
+    KernelProfile P;
+    for (const ProfileEntry &E : Entries)
+      P.add(E.Hash, E.Value);
+    P.finalize();
+    return P;
+  };
+  // Entries 0 and 2 are identical (tie); entry 1 is orthogonal.
+  Service.add("e0", "x", MakeProfile({{1, 1.0}}));
+  Service.add("e1", "y", MakeProfile({{2, 1.0}}));
+  Service.add("e2", "x", MakeProfile({{1, 1.0}}));
+
+  KernelProfile Query = MakeProfile({{1, 2.0}});
+  std::vector<ServiceHit> Hits = Service.query(Query, 2);
+  ASSERT_EQ(Hits.size(), 2u);
+  EXPECT_EQ(Hits[0].Name, "e0"); // Tie with e2 breaks toward the earlier.
+  EXPECT_EQ(Hits[1].Name, "e2");
+  EXPECT_DOUBLE_EQ(Hits[0].Similarity, 1.0); // Cosine.
+  EXPECT_EQ(IndexSnapshot::majorityLabel(Hits), "x");
+
+  // K beyond size clamps; orthogonal entry scores zero.
+  Hits = Service.query(Query, 10);
+  ASSERT_EQ(Hits.size(), 3u);
+  EXPECT_EQ(Hits[2].Name, "e1");
+  EXPECT_DOUBLE_EQ(Hits[2].Similarity, 0.0);
+
+  // Raw (unnormalized) dot keeps magnitudes.
+  Hits = Service.query(Query, 1, /*Normalize=*/false);
+  EXPECT_DOUBLE_EQ(Hits[0].Similarity, 2.0);
+
+  // An empty query has vanishing norm: all cosine scores are zero.
+  Hits = Service.query(KernelProfile(), 1);
+  ASSERT_EQ(Hits.size(), 1u);
+  EXPECT_DOUBLE_EQ(Hits[0].Similarity, 0.0);
+}
+
+TEST(IndexServiceTest, AgreesWithGramMatrixGroundTruth) {
+  Rng R(60601);
+  auto Table = TokenTable::create();
+  std::vector<WeightedString> Corpus = randomCorpus(Table, R, 20, "c");
+  BlendedSpectrumKernel Kernel(3, 1.0, /*Weighted=*/true, /*CutWeight=*/2);
+
+  IndexService Service =
+      IndexService::build(Kernel, Corpus, {}, {.Shards = 3}, /*Threads=*/1);
+  ASSERT_EQ(Service.size(), Corpus.size());
+  EXPECT_EQ(Service.kernelName(), Kernel.name());
+
+  KernelMatrixOptions Options;
+  Options.Threads = 1;
+  Matrix K = computeKernelMatrix(Kernel, Corpus, Options);
+
+  for (size_t I = 0; I < Corpus.size(); ++I) {
+    std::vector<ServiceHit> Hits =
+        Service.query(Kernel.profile(Corpus[I]), 2, true, 1);
+    ASSERT_EQ(Hits.size(), 2u);
+    // Top hit is the string itself at cosine 1.
+    EXPECT_EQ(Hits[0].Name, Corpus[I].name());
+    EXPECT_NEAR(Hits[0].Similarity, 1.0, 1e-12);
+    // Runner-up matches the normalized Gram row's best off-diagonal.
+    size_t Best = I == 0 ? 1 : 0;
+    for (size_t J = 0; J < Corpus.size(); ++J)
+      if (J != I && K.at(I, J) > K.at(I, Best))
+        Best = J;
+    EXPECT_NEAR(Hits[1].Similarity, K.at(I, Best), 1e-9)
+        << "query " << I << ": service found " << Hits[1].Name
+        << ", Gram argmax " << Corpus[Best].name();
+  }
+}
+
+TEST(IndexServiceTest, BatchedQueriesMatchSingleQueries) {
+  Rng R(424243);
+  auto Table = TokenTable::create();
+  std::vector<WeightedString> Corpus = randomCorpus(Table, R, 16, "c");
+  std::vector<WeightedString> Queries = randomCorpus(Table, R, 8, "q");
+  KSpectrumKernel Kernel(2, /*Weighted=*/true, /*CutWeight=*/2);
+
+  IndexService Service = IndexService::build(Kernel, Corpus, {}, {}, 1);
+  const NamedProfiles Truth = profilesOf(Kernel, Corpus);
+  std::vector<KernelProfile> QueryProfiles;
+  for (const WeightedString &Q : Queries)
+    QueryProfiles.push_back(Kernel.profile(Q));
+
+  std::vector<std::vector<ServiceHit>> Batched =
+      Service.queryBatch(QueryProfiles, 3, /*Normalize=*/true, /*Threads=*/0);
+  ASSERT_EQ(Batched.size(), Queries.size());
+  for (size_t I = 0; I < QueryProfiles.size(); ++I) {
+    EXPECT_EQ(Batched[I], Service.query(QueryProfiles[I], 3));
+    EXPECT_EQ(flatten(Batched[I]), bruteForceTopK(Truth, QueryProfiles[I], 3));
+  }
+}
+
+TEST(IndexServiceTest, QueryBatchIsThreadCountInvariant) {
+  // Regression guard for the scratch-reuse scheme: queryBatch hands
+  // each worker chunk one reusable scratch per shard, and a query's
+  // result must never depend on what the previous query on the same
+  // chunk left behind, nor on how queries map to chunks. Identical
+  // batches across thread counts (and therefore chunk counts and
+  // reuse patterns) must come back bit-identical.
+  Rng R(987654);
+  auto Table = TokenTable::create();
+  std::vector<WeightedString> Corpus = randomCorpus(Table, R, 24, "c");
+  BlendedSpectrumKernel Kernel(3, 1.0, /*Weighted=*/true, /*CutWeight=*/2);
+  IndexService Service =
+      IndexService::build(Kernel, Corpus, {}, {.Shards = 3}, 1);
+
+  std::vector<KernelProfile> Queries;
+  for (const WeightedString &Q : randomCorpus(Table, R, 13, "q"))
+    Queries.push_back(Kernel.profile(Q));
+  Queries.push_back(KernelProfile()); // Degenerate query mid-batch.
+  Queries.push_back(Queries[0]);      // Duplicate: same chunk or not.
+
+  std::vector<std::vector<ServiceHit>> Reference =
+      Service.queryBatch(Queries, 4, true, /*Threads=*/1);
+  for (size_t Threads : {size_t(2), size_t(3), size_t(8)})
+    expectBitIdentical(Service.queryBatch(Queries, 4, true, Threads),
+                       Reference, "exact");
+  // Per-query results agree with the batch, so scratch reuse is
+  // invisible entirely.
+  for (size_t Q = 0; Q < Queries.size(); ++Q)
+    EXPECT_EQ(Service.query(Queries[Q], 4, true, 1), Reference[Q])
+        << "query " << Q;
+
+  // The routed tier reuses an epoch-versioned candidate scratch across
+  // each chunk's queries — same invariant, same sweep.
+  RoutingOptions Opts;
+  Opts.Cluster.NumCentroids = 3;
+  Opts.MaxDocFrequency = 0.5;
+  Opts.DefaultNProbe = 2;
+  Service.rebuildRouting(Opts, 1);
+  ASSERT_EQ(Service.snapshot().routedShardCount(), 3u);
+  std::vector<std::vector<ServiceHit>> ApproxRef =
+      Service.queryBatchApprox(Queries, 4, true, /*NProbe=*/0, /*Threads=*/1);
+  for (size_t Threads : {size_t(2), size_t(3), size_t(8)})
+    expectBitIdentical(Service.queryBatchApprox(Queries, 4, true, 0, Threads),
+                       ApproxRef, "approx");
+  for (size_t Q = 0; Q < Queries.size(); ++Q)
+    EXPECT_EQ(Service.queryApprox(Queries[Q], 4, true, 0, 1), ApproxRef[Q])
+        << "approx query " << Q;
+}
+
 TEST(IndexServiceTest, EdgeCasesReturnCleanly) {
   IndexService Service("k", {.Shards = 2, .SealThreshold = 2});
   KernelProfile P;
   P.add(3, 1.0);
   P.finalize();
 
+  // Querying an empty service: no hits, no crash, for every entry
+  // point.
   EXPECT_TRUE(Service.empty());
   EXPECT_TRUE(Service.query(P, 5).empty());
+  EXPECT_TRUE(Service.query(P, 0).empty());
+  std::vector<std::vector<ServiceHit>> EmptyBatch =
+      Service.queryBatch({P, KernelProfile()}, 3, true, 1);
+  ASSERT_EQ(EmptyBatch.size(), 2u);
+  EXPECT_TRUE(EmptyBatch[0].empty());
+  EXPECT_TRUE(EmptyBatch[1].empty());
   EXPECT_EQ(Service.remove("missing"), 0u);
   Service.compact(1); // Compacting empty shards is a no-op, not a crash.
   EXPECT_TRUE(Service.snapshot().empty());
 
   Service.add("only", "l", P);
-  EXPECT_TRUE(Service.query(P, 0).empty());          // K == 0.
-  EXPECT_EQ(Service.query(P, 100).size(), 1u);       // K clamps to live.
+  Service.add("other", "m", P);
+  // K == 0 is an explicit no-op, not a caller-discipline assumption.
+  EXPECT_TRUE(Service.query(P, 0).empty());
+  for (const std::vector<ServiceHit> &Hits :
+       Service.queryBatch({P, P}, 0, true, 1))
+    EXPECT_TRUE(Hits.empty());
+  // K beyond size() clamps to the live count.
+  EXPECT_EQ(Service.query(P, 100).size(), 2u);
   std::vector<std::vector<ServiceHit>> Batch =
       Service.queryBatch({P, KernelProfile()}, 3, true, 1);
   ASSERT_EQ(Batch.size(), 2u);
-  EXPECT_EQ(Batch[0].size(), 1u);
+  EXPECT_EQ(Batch[0].size(), 2u);
   // An empty query has vanishing norm; cosine scores zero but the
-  // entry is still returned.
-  ASSERT_EQ(Batch[1].size(), 1u);
+  // entries are still returned.
+  ASSERT_EQ(Batch[1].size(), 2u);
   EXPECT_EQ(Batch[1][0].Similarity, 0.0);
 
   EXPECT_EQ(IndexSnapshot::majorityLabel({}), "");
 }
 
 TEST(IndexServiceTest, MajorityLabelMatchesIndexContract) {
-  // Same single-pass vote as ProfileIndex::majorityLabel: totals win,
-  // count ties go to the nearer hit's label.
-  std::vector<ServiceHit> Hits = {{"n0", "y", 0.9},
-                                  {"n1", "x", 0.8},
-                                  {"n2", "x", 0.7},
-                                  {"n3", "y", 0.6}};
-  EXPECT_EQ(IndexSnapshot::majorityLabel(Hits), "y");
-  Hits.push_back({"n4", "x", 0.5});
-  EXPECT_EQ(IndexSnapshot::majorityLabel(Hits), "x");
+  // The single-pass vote must keep both halves of the documented
+  // contract: the highest total count wins, and a count *tie* goes to
+  // the label whose first occurrence is the nearer hit. Similarities
+  // are irrelevant to the vote.
+  const auto Vote = [](std::vector<std::string> Labels) {
+    std::vector<ServiceHit> Hits;
+    for (const std::string &Label : Labels)
+      Hits.push_back({"n" + std::to_string(Hits.size()), Label, 0.5});
+    return IndexSnapshot::majorityLabel(Hits);
+  };
+  // Adversarial tie: y and x both total 2, y's first occurrence is
+  // the nearest hit → y wins even though x reaches count 2 first
+  // during an incremental scan.
+  EXPECT_EQ(Vote({"y", "x", "x", "y"}), "y");
+  // A strict majority displaces a nearer singleton.
+  EXPECT_EQ(Vote({"y", "x", "x"}), "x");
+  EXPECT_EQ(Vote({"y", "x", "x", "y", "x"}), "x");
+  // Duplicate labels scattered among others still aggregate.
+  EXPECT_EQ(Vote({"z", "y", "x", "y"}), "y");
+  // Single hit and empty list edge cases.
+  EXPECT_EQ(Vote({"x"}), "x");
+  EXPECT_EQ(Vote({}), "");
+}
+
+//===----------------------------------------------------------------------===//
+// The single-index contract: a one-shard service is the whole index
+//===----------------------------------------------------------------------===//
+
+TEST(ProfileIndexTest, MajorityLabelCountsAndTieBreaks) {
+  // The vote over hits a one-shard index really returns, labels read
+  // back from the stored entries: highest total count wins, and a
+  // count tie goes to the label whose first occurrence is nearest.
+  IndexService Index("test", {.Shards = 1});
+  KernelProfile P;
+  P.add(1, 1.0);
+  P.finalize();
+  for (const char *Label : {"y", "x", "x", "y", "z"})
+    Index.add("e" + std::to_string(Index.size()), Label, P);
+  // Every entry scores the same, so the hits come back in insertion
+  // order and Stored[I] is entry I.
+  const std::vector<ServiceHit> Stored = Index.query(P, 5);
+  ASSERT_EQ(Stored.size(), 5u);
+  for (size_t I = 0; I < Stored.size(); ++I)
+    ASSERT_EQ(Stored[I].Name, "e" + std::to_string(I));
+  const auto Vote = [&](std::vector<size_t> Entries) {
+    std::vector<ServiceHit> Hits;
+    for (size_t I : Entries)
+      Hits.push_back(Stored[I]);
+    return IndexSnapshot::majorityLabel(Hits);
+  };
+
+  // Adversarial tie: y and x both total 2, y's first occurrence is
+  // the nearest neighbor → y wins even though x reaches count 2 first
+  // during an incremental scan.
+  EXPECT_EQ(Vote({0, 1, 2, 3}), "y");
+  // Strict majority displaces a nearer singleton: x twice beats y once.
+  EXPECT_EQ(Vote({3, 1, 2}), "x");
+  // Duplicate labels scattered among others still aggregate.
+  EXPECT_EQ(Vote({4, 0, 1, 3}), "y");
+  // Single neighbor and empty list edge cases.
+  EXPECT_EQ(Vote({2}), "x");
+  EXPECT_EQ(Vote({}), "");
+}
+
+TEST(ProfileIndexTest, EdgeCasesReturnCleanly) {
+  KernelProfile P;
+  P.add(3, 1.0);
+  P.finalize();
+
+  // Querying an empty index: no hits, no crash, for both entry points.
+  IndexService Empty("k", {.Shards = 1});
+  EXPECT_TRUE(Empty.query(P, 3).empty());
+  EXPECT_TRUE(Empty.query(P, 0).empty());
+  std::vector<std::vector<ServiceHit>> Batch =
+      Empty.queryBatch({P, KernelProfile()}, 3, true, 1);
+  ASSERT_EQ(Batch.size(), 2u);
+  EXPECT_TRUE(Batch[0].empty());
+  EXPECT_TRUE(Batch[1].empty());
+
+  IndexService Index("k", {.Shards = 1});
+  Index.add("a", "x", P);
+  Index.add("b", "y", P);
+
+  // K == 0 is an explicit no-op, not a caller-discipline assumption.
+  EXPECT_TRUE(Index.query(P, 0).empty());
+  for (const std::vector<ServiceHit> &Hits :
+       Index.queryBatch({P, P}, 0, true, 1))
+    EXPECT_TRUE(Hits.empty());
+
+  // K beyond size() clamps to size().
+  EXPECT_EQ(Index.query(P, 100).size(), 2u);
+  EXPECT_EQ(Index.queryBatch({P}, 100, true, 1)[0].size(), 2u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -214,20 +540,36 @@ TEST(IndexServiceTest, RemoveTombstonesAndSnapshotsStayIsolated) {
 // Bulk import/export and the sharded-cache restart path
 //===----------------------------------------------------------------------===//
 
-TEST(IndexServiceTest, FromIndexServesTheWholeIndex) {
-  NamedProfiles P = makeProfiles(kernel(), 20, "s", 31);
-  ProfileIndex Index(kernel().name());
-  for (size_t I = 0; I < P.Profiles.size(); ++I)
-    Index.add(P.Names[I], P.Labels[I], P.Profiles[I]);
+TEST(IndexServiceTest, BuildServesTheWholeCorpus) {
+  Rng R(31);
+  auto Table = TokenTable::create();
+  std::vector<WeightedString> Corpus = randomCorpus(Table, R, 20, "s");
+  std::vector<std::string> Labels;
+  for (size_t I = 0; I < Corpus.size(); ++I)
+    Labels.push_back(I % 2 == 0 ? "even" : "odd");
 
-  IndexService Service =
-      IndexService::fromIndex(Index, {.Shards = 4, .SealThreshold = 8});
-  EXPECT_EQ(Service.size(), Index.size());
-  EXPECT_EQ(Service.kernelName(), Index.kernelName());
+  IndexService Service = IndexService::build(
+      kernel(), Corpus, Labels, {.Shards = 4, .SealThreshold = 8}, 2);
+  EXPECT_EQ(Service.size(), Corpus.size());
+  EXPECT_EQ(Service.shardCount(), 4u);
+  EXPECT_EQ(Service.kernelName(), kernel().name());
+  const NamedProfiles Truth = profilesOf(kernel(), Corpus, Labels);
   NamedProfiles Q = makeProfiles(kernel(), 6, "q", 32);
   for (const KernelProfile &Query : Q.Profiles)
     EXPECT_EQ(flatten(Service.query(Query, 5, true, 1)),
-              flatten(Index, Index.query(Query, 5)));
+              bruteForceTopK(Truth, Query, 5));
+  // Entries keep their strings' names and their labels.
+  for (size_t I = 0; I < Corpus.size(); ++I) {
+    std::vector<ServiceHit> Self =
+        Service.query(Truth.Profiles[I], 1, true, 1);
+    ASSERT_EQ(Self.size(), 1u);
+    EXPECT_EQ(Self[0].Name, Corpus[I].name());
+    EXPECT_EQ(Self[0].Label, Labels[I]);
+  }
+  // An unlabeled build labels every entry "".
+  IndexService Unlabeled = IndexService::build(kernel(), Corpus, {}, {}, 1);
+  for (const ServiceHit &H : Unlabeled.query(Truth.Profiles[0], 20, true, 1))
+    EXPECT_EQ(H.Label, "");
 }
 
 TEST(IndexServiceTest, ShardCachesRestartTheServiceBitExactly) {
@@ -479,6 +821,99 @@ TEST(IndexServiceTest, EmbeddedRoutingMismatchFailsRestore) {
       << Bad.message();
 }
 
+TEST(IndexServiceTest, SaveWritesV3UnroutedAndV4Routed) {
+  Rng R(515151);
+  auto Table = TokenTable::create();
+  std::vector<WeightedString> Corpus = randomCorpus(Table, R, 10, "c");
+  BlendedSpectrumKernel Kernel(3);
+  IndexService Service =
+      IndexService::build(Kernel, Corpus, {}, {.Shards = 1}, 1);
+  const std::string Dir = testing::TempDir() + "/kast_service_version";
+  std::filesystem::remove_all(Dir);
+
+  // Images are version 3 while unrouted...
+  ASSERT_TRUE(writeShardedProfileImages(Service.toShardCaches(), Dir).ok());
+  EXPECT_EQ(imageVersion(Dir + "/shard-000.kfi"), FlatImageVersion);
+  Expected<IndexService> Unrouted = restore(Dir);
+  ASSERT_TRUE(Unrouted.hasValue()) << Unrouted.message();
+  EXPECT_FALSE(Unrouted->routed());
+
+  // ...and version 4, with the routing arenas, once routed.
+  RoutingOptions Opts;
+  Opts.Cluster.NumCentroids = 3;
+  Service.rebuildRouting(Opts, 1);
+  ASSERT_TRUE(writeShardedProfileImages(Service.toShardCaches(), Dir).ok());
+  EXPECT_EQ(imageVersion(Dir + "/shard-000.kfi"), FlatImageVersionRouted);
+  Expected<IndexService> Routed = restore(Dir);
+  ASSERT_TRUE(Routed.hasValue()) << Routed.message();
+  EXPECT_TRUE(Routed->routed());
+  KernelProfile Query = Kernel.profile(randomString(Table, R, 20, 6));
+  EXPECT_EQ(Unrouted->query(Query, 4), Service.query(Query, 4));
+  EXPECT_EQ(Routed->queryApprox(Query, 4), Service.queryApprox(Query, 4));
+}
+
+TEST(IndexServiceTest, SaveLoadPreservesQueries) {
+  Rng R(777);
+  auto Table = TokenTable::create();
+  std::vector<WeightedString> Corpus = randomCorpus(Table, R, 12, "c");
+  std::vector<std::string> Labels;
+  for (size_t I = 0; I < Corpus.size(); ++I)
+    Labels.push_back(I % 2 == 0 ? "even" : "odd");
+  BlendedSpectrumKernel Kernel(3);
+
+  IndexService Service =
+      IndexService::build(Kernel, Corpus, Labels, {.Shards = 2}, 1);
+  const std::string Dir = testing::TempDir() + "/kast_service_rt";
+  std::filesystem::remove_all(Dir);
+  const std::vector<ProfileStoreCache> Saved = Service.toShardCaches();
+  ASSERT_TRUE(writeShardedProfileImages(Saved, Dir).ok());
+
+  // Every entry comes back bit-exactly: names, labels, norms and
+  // profiles, each shard's store viewing its image.
+  Expected<std::vector<ProfileStoreCache>> Loaded =
+      loadShardedProfileImages(Dir, Kernel.name());
+  ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
+  ASSERT_EQ(Loaded->size(), Saved.size());
+  for (size_t S = 0; S < Saved.size(); ++S) {
+    const ProfileStoreCache &A = (*Loaded)[S];
+    const ProfileStoreCache &B = Saved[S];
+    EXPECT_TRUE(A.Store.isMapped());
+    EXPECT_EQ(A.KernelName, Kernel.name());
+    ASSERT_EQ(A.Store.size(), B.Store.size());
+    for (size_t I = 0; I < B.Store.size(); ++I) {
+      EXPECT_EQ(A.Names[I], B.Names[I]);
+      EXPECT_EQ(A.Labels[I], B.Labels[I]);
+      EXPECT_EQ(std::bit_cast<uint64_t>(A.Store.norm(I)),
+                std::bit_cast<uint64_t>(B.Store.norm(I)));
+      const KernelProfile PA = A.Store.materialize(I);
+      const KernelProfile PB = B.Store.materialize(I);
+      ASSERT_EQ(PA.size(), PB.size());
+      for (size_t E = 0; E < PA.size(); ++E) {
+        EXPECT_EQ(PA.entries()[E].Hash, PB.entries()[E].Hash);
+        EXPECT_EQ(std::bit_cast<uint64_t>(PA.entries()[E].Value),
+                  std::bit_cast<uint64_t>(PB.entries()[E].Value));
+      }
+    }
+  }
+  Expected<IndexService> Restored =
+      IndexService::fromShardCaches(Loaded.take());
+  ASSERT_TRUE(Restored.hasValue()) << Restored.message();
+  EXPECT_EQ(Restored->size(), Service.size());
+  KernelProfile Query = Kernel.profile(randomString(Table, R, 20, 6));
+  EXPECT_EQ(Restored->query(Query, 5), Service.query(Query, 5));
+
+  // Growing the restored service and saving it back over the images
+  // it still maps round-trips the grown contents.
+  Restored->add("extra", "even", Query);
+  ASSERT_TRUE(
+      writeShardedProfileImages(Restored->toShardCaches(), Dir).ok());
+  Expected<IndexService> Again = restore(Dir);
+  ASSERT_TRUE(Again.hasValue()) << Again.message();
+  ASSERT_EQ(Again->size(), Service.size() + 1);
+  EXPECT_EQ(Again->query(Query, 1)[0].Name, "extra");
+  EXPECT_EQ(Again->query(Query, 5), Restored->query(Query, 5));
+}
+
 //===----------------------------------------------------------------------===//
 // Concurrency stress: snapshot consistency under add/remove/query
 //===----------------------------------------------------------------------===//
@@ -572,25 +1007,24 @@ TEST(IndexServiceStressTest, SnapshotsStayConsistentUnderConcurrentWrites) {
   EXPECT_GT(Checked, 0u);
 
   // Final ground truth: after the dust settles the service serves
-  // exactly the survivors, bit-identically to a fresh ProfileIndex.
-  ProfileIndex Truth(kernel().name());
+  // exactly the survivors, bit-identically to the brute-force scan.
+  NamedProfiles Truth;
   for (size_t W = 0; W < Writers; ++W) {
     const NamedProfiles &Work = WriterWork[W];
     for (size_t I = 0; I < Work.Profiles.size(); ++I) {
       const bool Removed = I % 7 == 3 && I + 3 < Work.Profiles.size() &&
                            (I + 3) % 7 == 6;
-      if (!Removed)
-        Truth.add(Work.Names[I], Work.Labels[I], Work.Profiles[I]);
+      if (!Removed) {
+        Truth.Names.push_back(Work.Names[I]);
+        Truth.Labels.push_back(Work.Labels[I]);
+        Truth.Profiles.push_back(Work.Profiles[I]);
+      }
     }
   }
-  EXPECT_EQ(Service.size(), Truth.size());
-  for (const KernelProfile &Query : Q.Profiles) {
-    std::vector<std::pair<std::string, double>> Got =
-        flatten(Service.query(Query, 5, true, 1));
-    std::vector<std::pair<std::string, double>> Want =
-        flatten(Truth, Truth.query(Query, 5));
-    EXPECT_EQ(Got, Want);
-  }
+  EXPECT_EQ(Service.size(), Truth.Profiles.size());
+  for (const KernelProfile &Query : Q.Profiles)
+    EXPECT_EQ(flatten(Service.query(Query, 5, true, 1)),
+              bruteForceTopK(Truth, Query, 5));
 }
 
 } // namespace

@@ -20,7 +20,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "index/IndexService.h"
-#include "index/ProfileIndex.h"
 #include "index/SegmentScorer.h"
 #include "kernels/SpectrumKernels.h"
 #include "util/Rng.h"
@@ -32,6 +31,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <filesystem>
 #include <set>
 
 using namespace kast;
@@ -65,18 +65,6 @@ BlendedSpectrumKernel testKernel() {
 
 /// Bit-identical, not just ==: similarity must carry the exact scan's
 /// bit pattern (a double == would let -0.0 pass for +0.0).
-void expectBitIdentical(const std::vector<Neighbor> &Approx,
-                        const std::vector<Neighbor> &Exact,
-                        const std::string &What) {
-  ASSERT_EQ(Approx.size(), Exact.size()) << What;
-  for (size_t I = 0; I < Exact.size(); ++I) {
-    EXPECT_EQ(Approx[I].Index, Exact[I].Index) << What << " rank " << I;
-    EXPECT_EQ(std::bit_cast<uint64_t>(Approx[I].Similarity),
-              std::bit_cast<uint64_t>(Exact[I].Similarity))
-        << What << " rank " << I;
-  }
-}
-
 void expectHitsBitIdentical(const std::vector<ServiceHit> &Approx,
                             const std::vector<ServiceHit> &Exact,
                             const std::string &What) {
@@ -90,17 +78,50 @@ void expectHitsBitIdentical(const std::vector<ServiceHit> &Approx,
   }
 }
 
-double recallAgainst(const std::vector<Neighbor> &Exact,
-                     const std::vector<Neighbor> &Approx) {
+double recallAgainst(const std::vector<ServiceHit> &Exact,
+                     const std::vector<ServiceHit> &Approx) {
   if (Exact.empty())
     return 1.0;
-  std::set<size_t> Truth;
-  for (const Neighbor &N : Exact)
-    Truth.insert(N.Index);
+  std::set<std::string> Truth;
+  for (const ServiceHit &H : Exact)
+    Truth.insert(H.Name);
   size_t Found = 0;
-  for (const Neighbor &N : Approx)
-    Found += Truth.count(N.Index);
+  for (const ServiceHit &H : Approx)
+    Found += Truth.count(H.Name);
   return static_cast<double>(Found) / static_cast<double>(Truth.size());
+}
+
+/// \p Corpus's profiles, in corpus order.
+std::vector<KernelProfile>
+profilesOf(const std::vector<WeightedString> &Corpus) {
+  BlendedSpectrumKernel Kernel = testKernel();
+  std::vector<KernelProfile> Out;
+  for (const WeightedString &S : Corpus)
+    Out.push_back(Kernel.profile(S));
+  return Out;
+}
+
+/// A one-shard service over \p Corpus: one arena, routed as one unit.
+IndexService oneShard(const std::vector<WeightedString> &Corpus,
+                      size_t SealThreshold = 64) {
+  return IndexService::build(testKernel(), Corpus, {},
+                             {.Shards = 1, .SealThreshold = SealThreshold},
+                             1);
+}
+
+/// The routing arenas a one-shard service exports (null when its shard
+/// is unrouted or has grown past its routed segment).
+std::shared_ptr<const RoutingArenas> exportedRouting(const IndexService &S) {
+  return S.toShardCaches()[0].Routing;
+}
+
+/// Loads the shard images in \p Dir and restores a service from them.
+Expected<IndexService> restore(const std::string &Dir) {
+  Expected<std::vector<ProfileStoreCache>> Caches =
+      loadShardedProfileImages(Dir);
+  if (!Caches)
+    return Expected<IndexService>::error(Caches.message());
+  return IndexService::fromShardCaches(Caches.take());
 }
 
 /// Random queries plus a few self queries (exact ties with stored
@@ -126,45 +147,51 @@ TEST(InvertedIndexTest, ExhaustiveModeIsBitIdenticalToExactScan) {
   auto Table = TokenTable::create();
   std::vector<WeightedString> Corpus = randomCorpus(Table, R, 48, "c");
   BlendedSpectrumKernel Kernel = testKernel();
-  ProfileIndex Index = ProfileIndex::build(Kernel, Corpus, {}, 1);
+  IndexService Service = oneShard(Corpus);
+  std::vector<KernelProfile> Stored = profilesOf(Corpus);
   // Duplicate a third of the corpus under fresh names: exact ties are
-  // now abundant and the (sim desc, id asc) order must survive the
-  // candidate-generation detour.
-  for (size_t I = 0; I < Corpus.size(); I += 3)
-    Index.add("dup" + std::to_string(I), "", Kernel.profile(Corpus[I]));
+  // now abundant and the (sim desc, position asc) order must survive
+  // the candidate-generation detour.
+  for (size_t I = 0; I < Corpus.size(); I += 3) {
+    Service.add("dup" + std::to_string(I), "", Stored[I]);
+    Stored.push_back(Stored[I]);
+  }
 
   // RoutingOptions defaults *are* exhaustive mode: every centroid
-  // probed, no df-pruning.
+  // probed, no df-pruning. The rebuild folds every entry into the
+  // routed segment.
   RoutingOptions Exhaustive;
   Exhaustive.Cluster.NumCentroids = 7;
-  Index.buildRouting(Exhaustive, /*Threads=*/1);
-  ASSERT_TRUE(Index.routed());
-  ASSERT_EQ(Index.routedCount(), Index.size());
+  Service.rebuildRouting(Exhaustive, /*Threads=*/1);
+  ASSERT_TRUE(Service.routed());
+  ASSERT_EQ(exportedRouting(Service)->Covered, Service.size());
 
   std::vector<KernelProfile> Queries;
   for (const WeightedString &Q : randomCorpus(Table, R, 12, "q"))
     Queries.push_back(Kernel.profile(Q));
-  for (size_t I = 0; I < Index.size(); I += 7) // Self queries: exact ties.
-    Queries.push_back(Index.profile(I));
+  for (size_t I = 0; I < Stored.size(); I += 7) // Self queries: exact ties.
+    Queries.push_back(Stored[I]);
   Queries.push_back(KernelProfile()); // Empty query: everything scores 0.
   {
     // A query over a disjoint alphabet shares no feature with anyone:
     // every similarity is +0.0 and the result must be the pure
-    // zero-fill order (ids ascending).
+    // zero-fill order (positions ascending).
     WeightedString Alien(Table);
     for (size_t I = 0; I < 8; ++I)
       Alien.append("z" + std::to_string(I), 3);
     Queries.push_back(Kernel.profile(Alien));
   }
 
+  const IndexSnapshot Snap = Service.snapshot();
   for (size_t Q = 0; Q < Queries.size(); ++Q) {
-    for (size_t K : {size_t(1), size_t(5), Index.size(), Index.size() + 10}) {
+    for (size_t K : {size_t(1), size_t(5), Snap.size(), Snap.size() + 10}) {
       for (bool Normalize : {true, false}) {
         const std::string What = "query " + std::to_string(Q) + " k " +
                                  std::to_string(K) +
                                  (Normalize ? " cos" : " raw");
-        expectBitIdentical(Index.queryApprox(Queries[Q], K, Normalize),
-                           Index.query(Queries[Q], K, Normalize), What);
+        expectHitsBitIdentical(
+            Snap.queryApprox(Queries[Q], K, Normalize, 0, 1),
+            Snap.query(Queries[Q], K, Normalize, 1), What);
       }
     }
   }
@@ -175,62 +202,62 @@ TEST(InvertedIndexTest, SingleCentroidExhaustiveStillBitIdentical) {
   auto Table = TokenTable::create();
   std::vector<WeightedString> Corpus = randomCorpus(Table, R, 30, "c");
   BlendedSpectrumKernel Kernel = testKernel();
-  ProfileIndex Index = ProfileIndex::build(Kernel, Corpus, {}, 1);
+  IndexService Service = oneShard(Corpus);
+  const std::vector<KernelProfile> Stored = profilesOf(Corpus);
 
   RoutingOptions Opts;
   Opts.Cluster.NumCentroids = 1;
-  Index.buildRouting(Opts, 1);
-  ASSERT_EQ(Index.router()->numCentroids(), 1u);
+  Service.rebuildRouting(Opts, 1);
+  ASSERT_EQ(exportedRouting(Service)->Centroids.size(), 1u);
 
-  for (size_t I = 0; I < Index.size(); I += 5)
-    expectBitIdentical(Index.queryApprox(Index.profile(I), 6),
-                       Index.query(Index.profile(I), 6),
-                       "self " + std::to_string(I));
+  for (size_t I = 0; I < Stored.size(); I += 5)
+    expectHitsBitIdentical(Service.queryApprox(Stored[I], 6, true, 0, 1),
+                           Service.query(Stored[I], 6, true, 1),
+                           "self " + std::to_string(I));
   KernelProfile Held = Kernel.profile(randomCorpus(Table, R, 1, "h")[0]);
-  expectBitIdentical(Index.queryApprox(Held, 9), Index.query(Held, 9),
-                     "held-out");
+  expectHitsBitIdentical(Service.queryApprox(Held, 9, true, 0, 1),
+                         Service.query(Held, 9, true, 1), "held-out");
 }
 
 TEST(InvertedIndexTest, EdgeCasesReturnCleanly) {
-  BlendedSpectrumKernel Kernel = testKernel();
   KernelProfile P;
   P.add(3, 1.0);
   P.finalize();
 
-  // Routing an empty index is a no-op tier: queries fall through.
-  ProfileIndex Empty("k");
-  Empty.buildRouting({}, 1);
-  EXPECT_TRUE(Empty.routed());
-  EXPECT_EQ(Empty.routedCount(), 0u);
+  // Routing an empty service fits nothing: queries fall through.
+  IndexService Empty("k", {.Shards = 1});
+  Empty.rebuildRouting({}, 1);
+  EXPECT_FALSE(Empty.routed());
   EXPECT_TRUE(Empty.queryApprox(P, 3).empty());
   EXPECT_TRUE(Empty.queryApprox(P, 0).empty());
   EXPECT_TRUE(Empty.queryApprox(KernelProfile(), 4).empty());
 
-  // An unrouted index answers queryApprox through the exact scan.
-  ProfileIndex Unrouted("k");
+  // An unrouted service answers queryApprox through the exact scan.
+  IndexService Unrouted("k", {.Shards = 1});
   Unrouted.add("a", "", P);
   EXPECT_FALSE(Unrouted.routed());
-  expectBitIdentical(Unrouted.queryApprox(P, 2), Unrouted.query(P, 2),
-                     "unrouted fallback");
+  expectHitsBitIdentical(Unrouted.queryApprox(P, 2), Unrouted.query(P, 2),
+                         "unrouted fallback");
 
-  // k == 0 and k > N on a routed index.
+  // k == 0 and k > N on a routed service.
   Rng R(5150);
   auto Table = TokenTable::create();
-  ProfileIndex Index =
-      ProfileIndex::build(Kernel, randomCorpus(Table, R, 9, "c"), {}, 1);
+  std::vector<WeightedString> Corpus = randomCorpus(Table, R, 9, "c");
+  IndexService Service = oneShard(Corpus);
   RoutingOptions Opts;
   Opts.Cluster.NumCentroids = 3;
-  Index.buildRouting(Opts, 1);
-  KernelProfile Q = Index.profile(4);
-  EXPECT_TRUE(Index.queryApprox(Q, 0).empty());
-  expectBitIdentical(Index.queryApprox(Q, 100), Index.query(Q, 100),
-                     "k beyond size");
-  EXPECT_EQ(Index.queryApprox(Q, 100).size(), Index.size());
+  Service.rebuildRouting(Opts, 1);
+  ASSERT_TRUE(Service.routed());
+  KernelProfile Q = testKernel().profile(Corpus[4]);
+  EXPECT_TRUE(Service.queryApprox(Q, 0).empty());
+  expectHitsBitIdentical(Service.queryApprox(Q, 100), Service.query(Q, 100),
+                         "k beyond size");
+  EXPECT_EQ(Service.queryApprox(Q, 100).size(), Service.size());
 
-  // clearRouting really clears.
-  Index.clearRouting();
-  EXPECT_FALSE(Index.routed());
-  EXPECT_EQ(Index.routedCount(), 0u);
+  // Compaction really drops the routing.
+  Service.compact(1);
+  EXPECT_FALSE(Service.routed());
+  EXPECT_EQ(exportedRouting(Service), nullptr);
 }
 
 TEST(InvertedIndexTest, UnroutedTailIsAlwaysScannedExactly) {
@@ -238,23 +265,32 @@ TEST(InvertedIndexTest, UnroutedTailIsAlwaysScannedExactly) {
   auto Table = TokenTable::create();
   std::vector<WeightedString> Corpus = randomCorpus(Table, R, 40, "c");
   BlendedSpectrumKernel Kernel = testKernel();
-  ProfileIndex Index = ProfileIndex::build(Kernel, Corpus, {}, 1);
+  // A seal threshold of 4 turns the 10-entry tail below into two
+  // sealed segments plus a 2-entry staging segment behind the routed
+  // segment 0.
+  IndexService Service = oneShard(Corpus, /*SealThreshold=*/4);
+  std::vector<KernelProfile> Stored = profilesOf(Corpus);
   RoutingOptions Opts;
   Opts.Cluster.NumCentroids = 5;
-  Index.buildRouting(Opts, 1);
-  const size_t Covered = Index.routedCount();
+  Service.rebuildRouting(Opts, 1);
+  ASSERT_EQ(exportedRouting(Service)->Covered, Corpus.size());
 
   std::vector<WeightedString> Tail = randomCorpus(Table, R, 10, "tail");
-  for (const WeightedString &S : Tail)
-    Index.add(S.name(), "", Kernel.profile(S));
-  ASSERT_EQ(Index.routedCount(), Covered);
-  ASSERT_GT(Index.size(), Covered);
+  for (const WeightedString &S : Tail) {
+    Stored.push_back(Kernel.profile(S));
+    Service.add(S.name(), "", Stored.back());
+  }
+  // Still routed, but the shard no longer exports its routing: the
+  // fit covers segment 0 only, not the segments behind it.
+  ASSERT_EQ(Service.snapshot().routedShardCount(), 1u);
+  ASSERT_EQ(exportedRouting(Service), nullptr);
+  ASSERT_GT(Service.size(), Corpus.size());
 
   // Exhaustive: still bit-identical with a tail present.
-  for (size_t I = 0; I < Index.size(); I += 11)
-    expectBitIdentical(Index.queryApprox(Index.profile(I), 7),
-                       Index.query(Index.profile(I), 7),
-                       "tail self " + std::to_string(I));
+  for (size_t I = 0; I < Stored.size(); I += 11)
+    expectHitsBitIdentical(Service.queryApprox(Stored[I], 7, true, 0, 1),
+                           Service.query(Stored[I], 7, true, 1),
+                           "tail self " + std::to_string(I));
 
   // Aggressive pruning: a tail entry queried with itself must still be
   // rank 1 at cosine 1 — the tail bypasses every pruning knob.
@@ -262,15 +298,13 @@ TEST(InvertedIndexTest, UnroutedTailIsAlwaysScannedExactly) {
   Aggressive.Cluster.NumCentroids = 5;
   Aggressive.MaxDocFrequency = 0.2;
   Aggressive.DefaultNProbe = 1;
-  Index.clearRouting();
-  Index.buildRouting(Aggressive, 1);
-  std::vector<WeightedString> Tail2 = randomCorpus(Table, R, 6, "tail2");
-  for (const WeightedString &S : Tail2)
-    Index.add(S.name(), "", Kernel.profile(S));
-  for (size_t I = Index.routedCount(); I < Index.size(); ++I) {
-    std::vector<Neighbor> Hits = Index.queryApprox(Index.profile(I), 1);
+  Service.rebuildRouting(Aggressive, 1);
+  for (const WeightedString &S : randomCorpus(Table, R, 6, "tail2")) {
+    const KernelProfile P = Kernel.profile(S);
+    Service.add(S.name(), "", P);
+    std::vector<ServiceHit> Hits = Service.queryApprox(P, 1, true, 0, 1);
     ASSERT_EQ(Hits.size(), 1u);
-    EXPECT_EQ(Hits[0].Index, I);
+    EXPECT_EQ(Hits[0].Name, S.name());
     EXPECT_NEAR(Hits[0].Similarity, 1.0, 1e-12);
   }
 }
@@ -292,25 +326,22 @@ TEST(InvertedIndexTest, AggressivePruningKeepsRecall) {
   ASSERT_GE(Data.size(), 100u);
   BlendedSpectrumKernel Kernel = testKernel();
 
-  std::vector<WeightedString> Strings;
-  std::vector<std::string> Labels;
-  for (size_t I = 0; I < Data.size(); ++I) {
-    Strings.push_back(Data.string(I));
-    Labels.push_back(Data.label(I));
-  }
-  ProfileIndex Index = ProfileIndex::build(Kernel, Strings, Labels, 1);
+  IndexService Service = IndexService::build(Kernel, Data.strings(),
+                                             Data.labels(), {.Shards = 1}, 1);
+  ASSERT_EQ(Service.size(), Data.size()); // Names are unique.
 
   RoutingOptions Aggressive;
   Aggressive.Cluster.NumCentroids = 8;
   Aggressive.MaxDocFrequency = 0.25;
   Aggressive.DefaultNProbe = 2;
-  Index.buildRouting(Aggressive, 1);
+  Service.rebuildRouting(Aggressive, 1);
 
   double RecallSum = 0.0;
   size_t QueryCount = 0;
-  for (size_t I = 0; I < Index.size(); I += 3) {
-    KernelProfile Q = Index.profile(I);
-    RecallSum += recallAgainst(Index.query(Q, 5), Index.queryApprox(Q, 5));
+  for (size_t I = 0; I < Data.size(); I += 3) {
+    KernelProfile Q = Kernel.profile(Data.string(I));
+    RecallSum += recallAgainst(Service.query(Q, 5, true, 1),
+                               Service.queryApprox(Q, 5, true, 0, 1));
     ++QueryCount;
   }
   const double Recall = RecallSum / static_cast<double>(QueryCount);
@@ -329,86 +360,94 @@ TEST(InvertedIndexTest, SaveLoadRoundTripsRoutingThroughTheImage) {
   auto Table = TokenTable::create();
   std::vector<WeightedString> Corpus = randomCorpus(Table, R, 44, "c");
   BlendedSpectrumKernel Kernel = testKernel();
-  ProfileIndex Index = ProfileIndex::build(
-      Kernel, {Corpus.begin(), Corpus.begin() + 36}, {}, 1);
+  const std::vector<KernelProfile> Stored = profilesOf(Corpus);
+  IndexService Service = oneShard({Corpus.begin(), Corpus.begin() + 36});
   RoutingOptions Opts;
   Opts.Cluster.NumCentroids = 6;
   Opts.MaxDocFrequency = 0.5;
   Opts.DefaultNProbe = 3;
-  Index.buildRouting(Opts, 1);
-  // Entries added after the fit form an unrouted tail the image
-  // carries beside the routed prefix.
-  for (size_t I = 36; I < Corpus.size(); ++I)
-    Index.add(Corpus[I].name(), "", Kernel.profile(Corpus[I]));
-  ASSERT_EQ(Index.routedCount(), 36u);
+  Service.rebuildRouting(Opts, 1);
+  const std::shared_ptr<const RoutingArenas> Fitted = exportedRouting(Service);
+  ASSERT_NE(Fitted, nullptr);
 
-  const std::string Path = testing::TempDir() + "/kast_routed_index.kfi";
-  ASSERT_TRUE(Index.save(Path).ok());
+  const std::string Dir = testing::TempDir() + "/kast_routed_index";
+  std::filesystem::remove_all(Dir);
+  ASSERT_TRUE(writeShardedProfileImages(Service.toShardCaches(), Dir).ok());
 
   const uint64_t Fits = kmeansFitCount();
   const uint64_t Rebuilds = postingRebuildCount();
-  Expected<ProfileIndex> Loaded = ProfileIndex::load(Path);
-  ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
+  Expected<std::vector<ProfileStoreCache>> Caches =
+      loadShardedProfileImages(Dir);
+  ASSERT_TRUE(Caches.hasValue()) << Caches.message();
   // The routing tier is viewed in the image: no k-means fit, no
   // posting rebuild.
+  ASSERT_EQ(Caches->size(), 1u);
+  const ProfileStoreCache &Image = (*Caches)[0];
+  EXPECT_TRUE(Image.Store.isMapped());
+  ASSERT_NE(Image.Routing, nullptr);
+  EXPECT_EQ(Image.Routing->Covered, Fitted->Covered);
+  EXPECT_EQ(Image.Routing->Centroids.size(), Fitted->Centroids.size());
+  EXPECT_EQ(Image.Routing->Assignments, Fitted->Assignments);
+  EXPECT_EQ(Image.Routing->MaxDocFrequency, Opts.MaxDocFrequency);
+  EXPECT_EQ(Image.Routing->DefaultNProbe, Opts.DefaultNProbe);
+  Expected<IndexService> Loaded = IndexService::fromShardCaches(Caches.take());
+  ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
   EXPECT_EQ(kmeansFitCount(), Fits);
   EXPECT_EQ(postingRebuildCount(), Rebuilds);
-  EXPECT_TRUE(Loaded->store().isMapped());
   ASSERT_TRUE(Loaded->routed());
-  ASSERT_EQ(Loaded->size(), Index.size());
-  EXPECT_EQ(Loaded->routedCount(), Index.routedCount());
-  EXPECT_EQ(Loaded->router()->numCentroids(), Index.router()->numCentroids());
-  EXPECT_EQ(Loaded->router()->assignments(), Index.router()->assignments());
-  EXPECT_EQ(Loaded->routingOptions()->MaxDocFrequency, Opts.MaxDocFrequency);
-  EXPECT_EQ(Loaded->routingOptions()->DefaultNProbe, Opts.DefaultNProbe);
+  ASSERT_EQ(Loaded->size(), Service.size());
 
   // Same pruned-path answers (bitwise), same exhaustive answers, for
-  // queries drawn from the routed prefix and the unrouted tail.
-  for (size_t I = 0; I < Index.size(); I += 5) {
-    KernelProfile Q = Index.profile(I);
-    expectBitIdentical(Loaded->queryApprox(Q, 5), Index.queryApprox(Q, 5),
-                       "pruned reload " + std::to_string(I));
-    expectBitIdentical(Loaded->queryApprox(Q, 5, true, /*NProbe=*/
-                                           Loaded->router()->numCentroids()),
-                       Index.queryApprox(Q, 5, true,
-                                         Index.router()->numCentroids()),
-                       "exhaustive reload " + std::to_string(I));
+  // stored and held-out queries.
+  const size_t AllCentroids = Fitted->Centroids.size();
+  for (size_t I = 0; I < Stored.size(); I += 5) {
+    expectHitsBitIdentical(Loaded->queryApprox(Stored[I], 5, true, 0, 1),
+                           Service.queryApprox(Stored[I], 5, true, 0, 1),
+                           "pruned reload " + std::to_string(I));
+    expectHitsBitIdentical(
+        Loaded->queryApprox(Stored[I], 5, true, AllCentroids, 1),
+        Service.queryApprox(Stored[I], 5, true, AllCentroids, 1),
+        "exhaustive reload " + std::to_string(I));
   }
   EXPECT_EQ(kmeansFitCount(), Fits);
   EXPECT_EQ(postingRebuildCount(), Rebuilds);
 
-  // Growing the mapped index promotes its store; saving it back over
-  // the image it was loaded from keeps the routing and the answers.
-  ProfileIndex Grown = Loaded.take();
-  Grown.add("extra", "", Index.profile(3));
-  EXPECT_FALSE(Grown.store().isMapped());
-  ASSERT_TRUE(Grown.save(Path).ok());
-  Expected<ProfileIndex> Resaved = ProfileIndex::load(Path);
+  // Entries added to the restored service form an unrouted tail behind
+  // the mapped routed segment; both services grow alike and keep
+  // answering alike.
+  for (size_t I = 36; I < Corpus.size(); ++I) {
+    Service.add(Corpus[I].name(), "", Stored[I]);
+    Loaded->add(Corpus[I].name(), "", Stored[I]);
+  }
+  ASSERT_TRUE(Loaded->routed());
+  for (size_t I = 0; I < Stored.size(); I += 7)
+    expectHitsBitIdentical(Loaded->queryApprox(Stored[I], 5, true, 0, 1),
+                           Service.queryApprox(Stored[I], 5, true, 0, 1),
+                           "grown " + std::to_string(I));
+  EXPECT_EQ(kmeansFitCount(), Fits);
+  EXPECT_EQ(postingRebuildCount(), Rebuilds);
+
+  // Routing never outlives the contents it was fitted on: saving the
+  // grown service back over the images it still maps writes unrouted
+  // images, which answer exactly.
+  ASSERT_TRUE(writeShardedProfileImages(Loaded->toShardCaches(), Dir).ok());
+  Expected<IndexService> Resaved = restore(Dir);
   ASSERT_TRUE(Resaved.hasValue()) << Resaved.message();
-  ASSERT_EQ(Resaved->size(), Index.size() + 1);
-  EXPECT_EQ(Resaved->routedCount(), Index.routedCount());
-  for (size_t I = 0; I < Grown.size(); I += 7) {
-    KernelProfile Q = Grown.profile(I);
-    expectBitIdentical(Resaved->queryApprox(Q, 5), Grown.queryApprox(Q, 5),
-                       "resaved " + std::to_string(I));
-  }
-  EXPECT_EQ(kmeansFitCount(), Fits);
-  EXPECT_EQ(postingRebuildCount(), Rebuilds);
-
-  // Saving the index unrouted writes an image without routing.
-  Index.clearRouting();
-  ASSERT_TRUE(Index.save(Path).ok());
-  Expected<ProfileIndex> Unrouted = ProfileIndex::load(Path);
-  ASSERT_TRUE(Unrouted.hasValue()) << Unrouted.message();
-  EXPECT_FALSE(Unrouted->routed());
+  ASSERT_EQ(Resaved->size(), Corpus.size());
+  EXPECT_FALSE(Resaved->routed());
+  for (size_t I = 0; I < Stored.size(); I += 7)
+    expectHitsBitIdentical(Resaved->query(Stored[I], 5, true, 1),
+                           Loaded->query(Stored[I], 5, true, 1),
+                           "resaved " + std::to_string(I));
 }
 
 TEST(InvertedIndexTest, ExportedRoutingAliasesTheLiveArraysAndRestoresExactly) {
   Rng R(6464);
   auto Table = TokenTable::create();
   std::vector<WeightedString> Corpus = randomCorpus(Table, R, 90, "c");
-  BlendedSpectrumKernel Kernel = testKernel();
-  ProfileIndex Index = ProfileIndex::build(Kernel, Corpus, {}, 1);
+  ProfileStore Store;
+  for (const KernelProfile &P : profilesOf(Corpus))
+    Store.append(P);
   RoutingOptions Opts;
   Opts.Cluster.NumCentroids = 6;
   Opts.MaxDocFrequency = 0.4;
@@ -417,7 +456,7 @@ TEST(InvertedIndexTest, ExportedRoutingAliasesTheLiveArraysAndRestoresExactly) {
   // The export views the live routing's arrays, centroids included,
   // instead of copying them, and keeps the routing alive on its own.
   std::shared_ptr<const detail::IndexRouting> Live =
-      detail::IndexRouting::fit(Index.store(), Opts, 1);
+      detail::IndexRouting::fit(Store, Opts, 1);
   std::shared_ptr<const RoutingArenas> Arenas =
       detail::IndexRouting::toArenas(Live);
   const ProfileStore &C = Live->Router.centroids();
@@ -438,20 +477,24 @@ TEST(InvertedIndexTest, ExportedRoutingAliasesTheLiveArraysAndRestoresExactly) {
   // Saved and restored, the routing answers bit for bit as the live
   // one, for every probe width and through the zero stream (K past
   // the corpus size).
-  Index.buildRouting(Opts, 1);
-  const std::string Path = testing::TempDir() + "/kast_exported_routing.kfi";
-  ASSERT_TRUE(Index.save(Path).ok());
-  Expected<ProfileIndex> Restored = ProfileIndex::load(Path);
+  IndexService Service = oneShard(Corpus);
+  Service.rebuildRouting(Opts, 1);
+  const std::string Dir = testing::TempDir() + "/kast_exported_routing";
+  std::filesystem::remove_all(Dir);
+  ASSERT_TRUE(writeShardedProfileImages(Service.toShardCaches(), Dir).ok());
+  Expected<IndexService> Restored = restore(Dir);
   ASSERT_TRUE(Restored.hasValue()) << Restored.message();
   ASSERT_TRUE(Restored->routed());
+  const IndexSnapshot Want = Service.snapshot();
+  const IndexSnapshot Got = Restored->snapshot();
   const std::vector<KernelProfile> Queries = oracleQueries(Table, R, Corpus);
   for (bool Normalize : {true, false})
     for (size_t NProbe : {size_t(0), size_t(1), size_t(3), size_t(6)})
       for (size_t K : {size_t(1), size_t(5), size_t(100)})
         for (size_t Q = 0; Q < Queries.size(); ++Q)
-          expectBitIdentical(
-              Restored->queryApprox(Queries[Q], K, Normalize, NProbe),
-              Index.queryApprox(Queries[Q], K, Normalize, NProbe),
+          expectHitsBitIdentical(
+              Got.queryApprox(Queries[Q], K, Normalize, NProbe, 1),
+              Want.queryApprox(Queries[Q], K, Normalize, NProbe, 1),
               "query " + std::to_string(Q) + " nprobe " +
                   std::to_string(NProbe) + " k " + std::to_string(K));
 }
@@ -465,11 +508,9 @@ TEST(InvertedIndexTest, ServiceExhaustiveApproxMatchesExact) {
   auto Table = TokenTable::create();
   std::vector<WeightedString> Corpus = randomCorpus(Table, R, 50, "c");
   BlendedSpectrumKernel Kernel = testKernel();
-  ProfileIndex Index = ProfileIndex::build(Kernel, Corpus, {}, 1);
-
   IndexServiceOptions SvcOpts;
   SvcOpts.Shards = 3;
-  IndexService Service = IndexService::fromIndex(Index, SvcOpts);
+  IndexService Service = IndexService::build(Kernel, Corpus, {}, SvcOpts, 1);
   RoutingOptions Exhaustive;
   Exhaustive.Cluster.NumCentroids = 4;
   Service.rebuildRouting(Exhaustive, 1);
@@ -557,10 +598,9 @@ TEST(InvertedIndexTest, ServiceRoutingPersistsAcrossRestart) {
   auto Table = TokenTable::create();
   std::vector<WeightedString> Corpus = randomCorpus(Table, R, 44, "c");
   BlendedSpectrumKernel Kernel = testKernel();
-  ProfileIndex Index = ProfileIndex::build(Kernel, Corpus, {}, 1);
   IndexServiceOptions SvcOpts;
   SvcOpts.Shards = 3;
-  IndexService Service = IndexService::fromIndex(Index, SvcOpts);
+  IndexService Service = IndexService::build(Kernel, Corpus, {}, SvcOpts, 1);
   RoutingOptions Opts;
   Opts.Cluster.NumCentroids = 4;
   Opts.MaxDocFrequency = 0.5;
@@ -611,7 +651,7 @@ TEST(InvertedIndexTest, ServiceRoutingPersistsAcrossRestart) {
 }
 
 //===----------------------------------------------------------------------===//
-// One scorer: tombstones and index/service agreement
+// Tombstones inside the routed segment
 //===----------------------------------------------------------------------===//
 
 TEST(InvertedIndexTest, TombstonedCandidatesDoNotUseUpTheRerankBudget) {
@@ -656,80 +696,6 @@ TEST(InvertedIndexTest, TombstonedCandidatesDoNotUseUpTheRerankBudget) {
     expectHitsBitIdentical(Snap.queryBatchApprox({Query}, K, false, 0, 1)[0],
                            Approx, What + " batch");
   }
-}
-
-TEST(InvertedIndexTest, ProfileIndexAndOneShardServiceAgreeUnderPrunedRouting) {
-  // Non-exhaustive routing (probing fewer centroids than fitted,
-  // df-pruning) is allowed to miss true neighbors,
-  // but ProfileIndex and a one-shard service run the same scorer over
-  // the same arena and fit, so they must miss identically — including
-  // over the unrouted tail added after the fit.
-  Rng R(5151);
-  auto Table = TokenTable::create();
-  std::vector<WeightedString> Corpus = randomCorpus(Table, R, 120, "c");
-  std::vector<WeightedString> Tail = randomCorpus(Table, R, 10, "t");
-  BlendedSpectrumKernel Kernel = testKernel();
-  std::vector<KernelProfile> Queries;
-  for (const WeightedString &Q : randomCorpus(Table, R, 12, "q"))
-    Queries.push_back(Kernel.profile(Q));
-  Queries.push_back(Kernel.profile(Corpus[3]));
-  Queries.push_back(Kernel.profile(Tail[2]));
-
-  RoutingOptions Opts;
-  Opts.Cluster.NumCentroids = 6;
-  Opts.MaxDocFrequency = 0.3;
-  ProfileIndex Index = ProfileIndex::build(Kernel, Corpus, {}, 1);
-  IndexServiceOptions SvcOpts;
-  SvcOpts.Shards = 1;
-  IndexService Service = IndexService::fromIndex(Index, SvcOpts);
-  Index.buildRouting(Opts, 1);
-  Service.rebuildRouting(Opts, 1);
-  for (const WeightedString &S : Tail) {
-    const KernelProfile P = Kernel.profile(S);
-    Index.add(S.name(), "", P);
-    Service.add(S.name(), "", P);
-  }
-  ASSERT_EQ(Index.routedCount(), Corpus.size());
-  const IndexSnapshot Snap = Service.snapshot();
-  ASSERT_EQ(Snap.routedShardCount(), 1u);
-
-  const auto Names = [&](const std::vector<Neighbor> &Hits) {
-    std::vector<ServiceHit> Out;
-    for (const Neighbor &H : Hits)
-      Out.push_back({std::string(Index.name(H.Index)),
-                     std::string(Index.label(H.Index)), H.Similarity});
-    return Out;
-  };
-  size_t DiffersFromExact = 0;
-  for (bool Normalize : {true, false}) {
-    for (size_t NProbe : {size_t(1), size_t(2)}) {
-      for (size_t K : {size_t(1), size_t(5), size_t(40)}) {
-        for (size_t Q = 0; Q < Queries.size(); ++Q) {
-          const std::string Case =
-              "query " + std::to_string(Q) + " nprobe " +
-              std::to_string(NProbe) + " k " + std::to_string(K) +
-              (Normalize ? " cosine" : " raw");
-          const std::vector<Neighbor> Approx =
-              Index.queryApprox(Queries[Q], K, Normalize, NProbe);
-          expectHitsBitIdentical(
-              Snap.queryApprox(Queries[Q], K, Normalize, NProbe, 1),
-              Names(Approx), Case);
-          DiffersFromExact +=
-              Approx != Index.query(Queries[Q], K, Normalize);
-        }
-        const std::vector<std::vector<Neighbor>> IndexBatch =
-            Index.queryBatchApprox(Queries, K, Normalize, NProbe, 3);
-        const std::vector<std::vector<ServiceHit>> ServiceBatch =
-            Snap.queryBatchApprox(Queries, K, Normalize, NProbe, 3);
-        for (size_t Q = 0; Q < Queries.size(); ++Q)
-          expectHitsBitIdentical(ServiceBatch[Q], Names(IndexBatch[Q]),
-                                 "batch query " + std::to_string(Q));
-      }
-    }
-  }
-  // The settings really are non-exhaustive: some answers differ from
-  // the exact scan, so the agreement above is not the exhaustive one.
-  EXPECT_GT(DiffersFromExact, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -786,63 +752,19 @@ std::vector<Neighbor> routedOracle(const OracleArena &A,
   return Ranked;
 }
 
-// Both oracle tests run in the default and the KAST_FORCE_SCALAR
-// passes of the suite, so the scorer is checked on both kernels.
-
-TEST(InvertedIndexTest, RoutedProfileIndexMatchesTheOracle) {
-  Rng R(6262);
-  auto Table = TokenTable::create();
-  BlendedSpectrumKernel Kernel = testKernel();
-  std::vector<WeightedString> Corpus = randomCorpus(Table, R, 150, "c");
-  ProfileIndex Index = ProfileIndex::build(Kernel, Corpus, {}, 1);
-  RoutingOptions Opts;
-  Opts.Cluster.NumCentroids = 8;
-  Opts.MaxDocFrequency = 0.3;
-  Index.buildRouting(Opts, 1);
-  for (const WeightedString &S : randomCorpus(Table, R, 12, "t"))
-    Index.add(S.name(), "", Kernel.profile(S));
-  ASSERT_EQ(Index.routedCount(), Corpus.size());
-  // The posting lists are a pure function of the store prefix, the
-  // assignments and the df cut, so rebuilding them gives the fit's.
-  const InvertedIndex Inverted = InvertedIndex::build(
-      Index.store(), Index.router()->assignments(),
-      Index.router()->numCentroids(), Opts.MaxDocFrequency);
-  const OracleArena Arena{&Index.store(), {}, Index.router(), &Inverted};
-
-  const std::vector<KernelProfile> Queries = oracleQueries(Table, R, Corpus);
-  size_t DiffersFromExact = 0;
-  for (bool Normalize : {true, false})
-    for (size_t NProbe : {size_t(1), size_t(2), size_t(3)})
-      for (size_t K : {size_t(1), size_t(5), size_t(40), Index.size() + 3}) {
-        const std::vector<std::vector<Neighbor>> Batch =
-            Index.queryBatchApprox(Queries, K, Normalize, NProbe, 2);
-        for (size_t Q = 0; Q < Queries.size(); ++Q) {
-          const std::string Case =
-              "query " + std::to_string(Q) + " nprobe " +
-              std::to_string(NProbe) + " k " + std::to_string(K) +
-              (Normalize ? " cosine" : " raw");
-          std::vector<Neighbor> Oracle =
-              routedOracle(Arena, Queries[Q], NProbe, Normalize);
-          Oracle.resize(std::min(K, Oracle.size()));
-          expectBitIdentical(
-              Index.queryApprox(Queries[Q], K, Normalize, NProbe), Oracle,
-              Case);
-          expectBitIdentical(Batch[Q], Oracle, Case + " batch");
-          DiffersFromExact += Oracle != Index.query(Queries[Q], K, Normalize);
-        }
-      }
-  // Pruning and probing really drop true neighbors here, so the
-  // oracle is not just the exact scan again.
-  EXPECT_GT(DiffersFromExact, 0u);
-}
-
-TEST(InvertedIndexTest, RoutedServiceMatchesTheOracleAcrossShards) {
-  Rng R(6363);
+/// Builds a \p ShardCount-shard service over a random corpus, routes
+/// it, adds an unrouted tail, removes a few entries, and checks every
+/// approximate query, single and batched, bit-identically against the
+/// oracle run over each shard's arena and merged in the service's
+/// order. Runs in the default and the KAST_FORCE_SCALAR passes of the
+/// suite, so the scorer is checked on both kernels.
+void expectRoutedServiceMatchesOracle(size_t ShardCount, uint64_t Seed) {
+  Rng R(Seed);
   auto Table = TokenTable::create();
   BlendedSpectrumKernel Kernel = testKernel();
   std::vector<WeightedString> Corpus = randomCorpus(Table, R, 160, "c");
   IndexServiceOptions SvcOpts;
-  SvcOpts.Shards = 3;
+  SvcOpts.Shards = ShardCount;
   SvcOpts.SealThreshold = 8;
   IndexService Service(Kernel.name(), SvcOpts);
   for (const WeightedString &S : Corpus)
@@ -855,11 +777,12 @@ TEST(InvertedIndexTest, RoutedServiceMatchesTheOracleAcrossShards) {
   std::vector<ProfileStoreCache> Routed = Service.toShardCaches();
   for (const WeightedString &S : randomCorpus(Table, R, 20, "t"))
     Service.add(S.name(), "", Kernel.profile(S));
-  // ...and each shard's entries in position order: the routed prefix,
-  // then the tail (sealed past SealThreshold, so several segments).
+  // ...and each shard's entries in position order: the routed
+  // segment, then the tail (sealed past SealThreshold, so several
+  // segments).
   std::vector<ProfileStoreCache> Full = Service.toShardCaches();
-  const std::set<std::string> Removed = {"c3", "c50", "c77", "c121", "t2",
-                                         "t9"};
+  const std::set<std::string> Removed = {"c3",  "c50", "c77",
+                                         "c121", "t2", "t9"};
   for (const std::string &Name : Removed)
     ASSERT_EQ(Service.remove(Name), 1u) << Name;
 
@@ -890,7 +813,8 @@ TEST(InvertedIndexTest, RoutedServiceMatchesTheOracleAcrossShards) {
                           bool Normalize) {
     std::vector<Ranked> All;
     for (size_t S = 0; S < Arenas.size(); ++S)
-      for (const Neighbor &N : routedOracle(Arenas[S], Q, NProbe, Normalize))
+      for (const Neighbor &N :
+           routedOracle(Arenas[S], Q, NProbe, Normalize))
         All.push_back({N.Similarity, S, N.Index});
     std::stable_sort(All.begin(), All.end(),
                      [](const Ranked &L, const Ranked &R) {
@@ -906,10 +830,12 @@ TEST(InvertedIndexTest, RoutedServiceMatchesTheOracleAcrossShards) {
     return Hits;
   };
 
-  const std::vector<KernelProfile> Queries = oracleQueries(Table, R, Corpus);
+  const std::vector<KernelProfile> Queries =
+      oracleQueries(Table, R, Corpus);
   std::vector<const KernelProfile *> Borrowed;
   for (const KernelProfile &Q : Queries)
     Borrowed.push_back(&Q);
+  size_t DiffersFromExact = 0;
   for (bool Normalize : {true, false})
     for (size_t NProbe : {size_t(1), size_t(2)})
       for (size_t K : {size_t(1), size_t(5), size_t(40), size_t(200)}) {
@@ -926,8 +852,23 @@ TEST(InvertedIndexTest, RoutedServiceMatchesTheOracleAcrossShards) {
               Snap.queryApprox(Queries[Q], K, Normalize, NProbe, 2), Want,
               Case);
           expectHitsBitIdentical(Batch[Q], Want, Case + " batch");
+          DiffersFromExact += Want != Snap.query(Queries[Q], K, Normalize, 2);
         }
       }
+  // Pruning and probing really drop true neighbors here, so the
+  // oracle is not just the exact scan again.
+  EXPECT_GT(DiffersFromExact, 0u);
+}
+
+// One shard is a single routed index: one routed arena with an
+// unrouted tail behind it.
+TEST(InvertedIndexTest, RoutedProfileIndexMatchesTheOracle) {
+  expectRoutedServiceMatchesOracle(1, 6262);
+}
+
+// Three shards add the cross-shard merge on top.
+TEST(InvertedIndexTest, RoutedServiceMatchesTheOracleAcrossShards) {
+  expectRoutedServiceMatchesOracle(3, 6363);
 }
 
 //===----------------------------------------------------------------------===//
@@ -938,13 +879,14 @@ TEST(InvertedIndexTest, RouterFitIsThreadCountInvariant) {
   Rng R(8181);
   auto Table = TokenTable::create();
   std::vector<WeightedString> Corpus = randomCorpus(Table, R, 64, "c");
-  BlendedSpectrumKernel Kernel = testKernel();
-  ProfileIndex Index = ProfileIndex::build(Kernel, Corpus, {}, 1);
+  const std::vector<KernelProfile> Profiles = profilesOf(Corpus);
+  ProfileStore Store;
+  Store.appendAll(Profiles);
 
   ClusterRouterOptions Opts;
   Opts.NumCentroids = 6;
-  ClusterRouter Serial = ClusterRouter::build(Index.store(), Opts, 1);
-  ClusterRouter Parallel = ClusterRouter::build(Index.store(), Opts, 4);
+  ClusterRouter Serial = ClusterRouter::build(Store, Opts, 1);
+  ClusterRouter Parallel = ClusterRouter::build(Store, Opts, 4);
   EXPECT_EQ(Serial.assignments(), Parallel.assignments());
   ASSERT_EQ(Serial.numCentroids(), Parallel.numCentroids());
   for (size_t C = 0; C < Serial.numCentroids(); ++C) {
@@ -963,15 +905,15 @@ TEST(InvertedIndexTest, RouterFitIsThreadCountInvariant) {
   // the one route() ranks first.
   std::vector<std::pair<double, uint32_t>> Scored;
   std::vector<uint32_t> Top;
-  for (size_t I = 0; I < Index.size(); ++I) {
+  for (size_t I = 0; I < Profiles.size(); ++I) {
     ASSERT_LT(Serial.assignments()[I], Serial.numCentroids());
-    Serial.route(FlatProfile(Index.profile(I)), 1, Scored, Top);
+    Serial.route(FlatProfile(Profiles[I]), 1, Scored, Top);
     ASSERT_EQ(Top.size(), 1u);
     EXPECT_EQ(Top[0], Serial.assignments()[I]) << "profile " << I;
   }
 
   // route() clamps NProbe and returns every centroid for NProbe == 0.
-  const FlatProfile First(Index.profile(0));
+  const FlatProfile First(Profiles[0]);
   Serial.route(First, 0, Scored, Top);
   EXPECT_EQ(Top.size(), Serial.numCentroids());
   Serial.route(First, 100, Scored, Top);

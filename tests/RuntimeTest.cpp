@@ -208,6 +208,22 @@ TEST(ServerStatsTest, SmallValuesAreExact) {
   EXPECT_EQ(H.percentile(0.01), 0.0);
 }
 
+TEST(ServerStatsTest, PercentileUsesTheNearestRank) {
+  // Half of {1, 2, 3} lies at or below 2, not 1: the rank rounds up.
+  LatencyHistogram H;
+  for (uint64_t V : {1, 2, 3})
+    H.record(V);
+  EXPECT_EQ(H.percentile(0.5), 2.0);
+  EXPECT_EQ(H.percentile(0.0), 1.0); // Rank clamps up to 1...
+  EXPECT_EQ(H.percentile(1.5), 3.0); // ...and down to the count.
+  // An exact product keeps its rank: 0.5 × 6 is the 3rd sample.
+  LatencyHistogram Six;
+  for (uint64_t V : {1, 2, 3, 4, 5, 6})
+    Six.record(V);
+  EXPECT_EQ(Six.percentile(0.5), 3.0);
+  EXPECT_EQ(Six.percentile(0.51), 4.0);
+}
+
 TEST(ServerStatsTest, ConcurrentRecordCountsExactly) {
   LatencyHistogram H;
   constexpr size_t Threads = 4, PerThread = 20000;

@@ -16,7 +16,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/ProfileStore.h"
-#include "index/ProfileIndex.h"
+#include "index/IndexService.h"
 #include "kernels/SpectrumKernels.h"
 #include "util/Rng.h"
 #include "util/SimdDot.h"
@@ -266,7 +266,7 @@ clusteredCorpus(const std::shared_ptr<TokenTable> &Table, size_t N,
     for (auto &Tok : Entry)
       if (R.flip(0.25))
         Tok.first = "t" + std::to_string(R.uniformInt(0, Alphabet - 1));
-    WeightedString S(Table);
+    WeightedString S(Table, "e" + std::to_string(I));
     for (const auto &[Text, Weight] : Entry)
       S.append(Text, Weight);
     Out.push_back(std::move(S));
@@ -276,11 +276,11 @@ clusteredCorpus(const std::shared_ptr<TokenTable> &Table, size_t N,
 
 /// Asserts \p Approx equals \p Exact entry by entry, similarity bits
 /// included.
-void expectSameHits(const std::vector<Neighbor> &Exact,
-                    const std::vector<Neighbor> &Approx) {
+void expectSameHits(const std::vector<ServiceHit> &Exact,
+                    const std::vector<ServiceHit> &Approx) {
   ASSERT_EQ(Exact.size(), Approx.size());
   for (size_t I = 0; I < Exact.size(); ++I) {
-    EXPECT_EQ(Exact[I].Index, Approx[I].Index) << "rank " << I;
+    EXPECT_EQ(Exact[I].Name, Approx[I].Name) << "rank " << I;
     EXPECT_EQ(bits(Exact[I].Similarity), bits(Approx[I].Similarity))
         << "rank " << I;
   }
@@ -295,8 +295,8 @@ TEST(SimdDotTest, QuantizedShortlistTopKMatchesExactScan) {
   const size_t N = 300;
   std::vector<WeightedString> Corpus = clusteredCorpus(Table, N + 10, 8, R);
 
-  ProfileIndex Index = ProfileIndex::build(
-      Kernel, {Corpus.begin(), Corpus.begin() + N});
+  IndexService Service = IndexService::build(
+      Kernel, {Corpus.begin(), Corpus.begin() + N}, {}, {.Shards = 1});
   // The retired int8 shortlist fields, set the way that tier used
   // them: a budget far below the candidate count (nearly every profile
   // shares a 3-gram with the query) and the shortlist on. Both are now
@@ -306,13 +306,13 @@ TEST(SimdDotTest, QuantizedShortlistTopKMatchesExactScan) {
   Opts.Cluster.NumCentroids = 8;
   Opts.RerankBudget = 64;
   Opts.QuantizedShortlist = true;
-  Index.buildRouting(Opts);
+  Service.rebuildRouting(Opts);
 
   for (size_t QI = 0; QI < 10; ++QI) {
     const KernelProfile Query = Kernel.profile(Corpus[N + QI]);
-    expectSameHits(Index.query(Query, 5),
-                   Index.queryApprox(Query, 5, /*Normalize=*/true,
-                                     /*NProbe=*/0));
+    expectSameHits(Service.query(Query, 5),
+                   Service.queryApprox(Query, 5, /*Normalize=*/true,
+                                       /*NProbe=*/0));
   }
 }
 
@@ -321,13 +321,13 @@ TEST(SimdDotTest, ExhaustiveRoutingStaysBitIdentical) {
   auto Table = TokenTable::create();
   BlendedSpectrumKernel Kernel(3);
   std::vector<WeightedString> Corpus = clusteredCorpus(Table, 120, 6, R);
-  ProfileIndex Index = ProfileIndex::build(
-      Kernel, {Corpus.begin(), Corpus.begin() + 100});
+  IndexService Service = IndexService::build(
+      Kernel, {Corpus.begin(), Corpus.begin() + 100}, {}, {.Shards = 1});
   // Pure-defaults routing: every centroid, no df-pruning — the
   // documented bit-identity mode.
-  Index.buildRouting({});
+  Service.rebuildRouting({});
   for (size_t QI = 100; QI < 110; ++QI) {
     const KernelProfile Query = Kernel.profile(Corpus[QI]);
-    expectSameHits(Index.query(Query, 7), Index.queryApprox(Query, 7));
+    expectSameHits(Service.query(Query, 7), Service.queryApprox(Query, 7));
   }
 }
